@@ -27,15 +27,31 @@
 //! `h_ε` more than once (e.g. `branch h > h`) keeps its initialization, and
 //! a use position that cannot syntactically hold a non-trivial term (an
 //! operand inside a binary term or an `out`) does too.
+//!
+//! # Node-level solving
+//!
+//! The paper states Table 3 per instruction, but both systems are gen/kill
+//! and every interior instruction of a block has exactly one predecessor
+//! and one successor, so substituting the interior points out of the
+//! equations is exact: [`FlushFacts::solve`] folds each block's rows into
+//! one transfer (delayability first-to-last, usability last-to-first) and
+//! solves both systems over the block graph, whose fixed points correspond
+//! one-to-one to the instruction-level ones. [`FlushFacts::recover`] then
+//! streams the per-instruction facts out of one block at a time:
+//! `X-USABLE*` backward from the block's exit fact, `N-/X-DELAYABLE*`
+//! forward from its entry fact. Latestness needs no per-point table
+//! either: an interior point's only successor has `N-DELAYABLE*` equal to
+//! its own `X-DELAYABLE*`, so `X-LATEST` is empty everywhere but at a
+//! block's last point, and `N-LATEST` is one word-wise AND.
 
-use std::collections::HashMap;
+use std::mem;
 
 use am_bitset::BitSet;
 use am_dfa::{
-    solve_partitioned, solve_scheduled, Confluence, Direction, PatternMasks, PointGraph, Problem,
+    node_adjacency, solve_partitioned, solve_scheduled, Adjacency, Confluence, Direction, Problem,
     Schedule, Solution,
 };
-use am_ir::{Cond, FlowGraph, Instr, Operand, PatternUniverse, Term, Var};
+use am_ir::{Cond, FlowGraph, Instr, NodeId, Operand, PatternUniverse, Term, Var};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 use am_trace::Tracer;
 
@@ -56,110 +72,305 @@ pub struct FlushStats {
     pub max_worklist_len: usize,
 }
 
-/// The solved Table 3 analyses of a program: local predicates plus the
-/// delayability and usability solutions, indexed by instruction-level
-/// points (see [`am_dfa::PointGraph`]) and expression-pattern bits.
-pub struct FlushAnalysis {
-    /// The expression-pattern universe the bit indices refer to.
-    pub universe: PatternUniverse,
-    /// The temporary `h_ε` of each pattern.
-    pub temps: Vec<Var>,
-    /// `IS-INST` per point.
-    pub is_inst: Vec<BitSet>,
-    /// `USED` per point.
-    pub used: Vec<BitSet>,
-    /// `BLOCKED` per point.
-    pub blocked: Vec<BitSet>,
-    /// Delayability solution (`N-DELAYABLE*` = before, `X-DELAYABLE*` =
-    /// after).
-    pub delay: am_dfa::Solution,
-    /// Usability solution (`N-USABLE*` = before, `X-USABLE*` = after).
-    pub usable: am_dfa::Solution,
+/// Marks a variable that is no participating temporary in
+/// [`FlushFacts`]'s dense temporary index.
+const NO_TEMP: u32 = u32::MAX;
+
+/// The Table 3 systems of a program, solved over its block graph.
+///
+/// Bit `i` of every set is expression pattern `i` of
+/// [`universe`](Self::universe); node-level facts are indexed by
+/// [`NodeId::index`]. Per-instruction facts come out of
+/// [`recover`](Self::recover), one block at a time.
+pub struct FlushFacts {
+    locals: Locals,
+    succs: Adjacency,
+    /// Delayability per block (`before` = `N-DELAYABLE*` of its first
+    /// point, `after` = `X-DELAYABLE*` of its last).
+    pub delay: Solution,
+    /// Usability per block (`before` = `N-USABLE*` of its first point,
+    /// `after` = `X-USABLE*` of its last).
+    pub usable: Solution,
 }
 
-/// Solves the delayability and usability systems of Table 3 over `g`
-/// (without transforming anything).
-pub fn analyze_flush(g: &mut FlowGraph) -> FlushAnalysis {
-    analyze_flush_workers(g, 1)
+/// The local predicates `IS-INST`, `USED` and `BLOCKED` of Table 3, as
+/// per-variable lookups applied to one instruction at a time.
+struct Locals {
+    universe: PatternUniverse,
+    temps: Vec<Var>,
+    /// Pattern of each temporary, dense by variable index (`NO_TEMP` for
+    /// the other variables).
+    temp_of: Vec<u32>,
+    /// `BLOCKED` row of an instruction defining the variable: the patterns
+    /// mentioning it, plus its own pattern if it is a temporary.
+    blocked_by: Vec<BitSet>,
 }
 
-/// As [`analyze_flush`], solving the two systems on `workers` threads via
-/// the partitioned parallel solver (facts are bit-identical for any worker
-/// count; small graphs fall back to the serial path).
-pub fn analyze_flush_workers(g: &mut FlowGraph, workers: usize) -> FlushAnalysis {
-    let (universe, temps) = participating(g);
-    let ep = universe.expr_count();
-    // Masks must be built after `participating`: `temp_for` may grow the
-    // variable pool, and the index covers the whole pool.
-    let masks = PatternMasks::build(&universe, g.pool().len());
-    let temp_index: HashMap<Var, usize> = temps.iter().enumerate().map(|(i, &h)| (h, i)).collect();
-    let snapshot = g.clone();
-    let pg = PointGraph::build(&snapshot);
-    let points = pg.len();
-    let mut is_inst = vec![BitSet::new(ep); points];
-    let mut used = vec![BitSet::new(ep); points];
-    let mut blocked = vec![BitSet::new(ep); points];
-    for p in pg.points() {
-        let Some(instr) = pg.instr(p) else { continue };
-        let idx = p.index();
-        if let Instr::Assign { lhs, rhs } = instr {
-            if let Some(i) = universe.expr_id(rhs) {
-                if temps[i] == *lhs {
-                    is_inst[idx].insert(i);
+/// The per-instruction Table 3 facts of one block, recovered by
+/// [`FlushFacts::recover`] into buffers reused from block to block.
+///
+/// Point `k` is the block's `k`-th instruction; an empty block has one
+/// pass-through point, whose entry and exit facts coincide.
+pub struct BlockFacts {
+    /// `delay[k]` = `N-DELAYABLE*` of point `k` = `X-DELAYABLE*` of `k-1`.
+    delay: Vec<BitSet>,
+    /// `usable[k]` = `N-USABLE*` of point `k` = `X-USABLE*` of `k-1`.
+    usable: Vec<BitSet>,
+    x_latest: BitSet,
+    /// Working set for `∏_succ N-DELAYABLE*(succ)`.
+    meet: BitSet,
+    points: usize,
+}
+
+impl BlockFacts {
+    /// Empty buffers for a universe of `universe` patterns.
+    pub fn new(universe: usize) -> Self {
+        BlockFacts {
+            delay: Vec::new(),
+            usable: Vec::new(),
+            x_latest: BitSet::new(universe),
+            meet: BitSet::new(universe),
+            points: 0,
+        }
+    }
+
+    /// Number of points of the block.
+    pub fn points(&self) -> usize {
+        self.points
+    }
+
+    /// `N-DELAYABLE*` of point `k`.
+    pub fn n_delayable(&self, k: usize) -> &BitSet {
+        &self.delay[k]
+    }
+
+    /// `X-DELAYABLE*` of point `k`.
+    pub fn x_delayable(&self, k: usize) -> &BitSet {
+        &self.delay[k + 1]
+    }
+
+    /// `N-USABLE*` of point `k`.
+    pub fn n_usable(&self, k: usize) -> &BitSet {
+        &self.usable[k]
+    }
+
+    /// `X-USABLE*` of point `k`.
+    pub fn x_usable(&self, k: usize) -> &BitSet {
+        &self.usable[k + 1]
+    }
+
+    /// `X-LATEST` of the block's last point — the only point where it can
+    /// hold.
+    pub fn x_latest(&self) -> &BitSet {
+        &self.x_latest
+    }
+}
+
+/// Grows `rows` to at least `n` sets of width `width`.
+fn ensure_rows(rows: &mut Vec<BitSet>, n: usize, width: usize) {
+    if rows.len() < n {
+        rows.resize(n, BitSet::new(width));
+    }
+}
+
+impl FlushFacts {
+    /// Solves delayability and usability over `g`'s block graph, on
+    /// `workers` threads via the partitioned solver when `workers > 1`
+    /// (facts are bit-identical for any worker count). Creates the
+    /// canonical temporary of every expression pattern in `g`'s pool.
+    pub fn solve(g: &mut FlowGraph, workers: usize) -> Self {
+        let locals = Locals::new(g);
+        let ep = locals.universe.expr_count();
+        // Compose each block's rows into one transfer `gen ∪ (in ∖ kill)`:
+        // appending a point means `gen := gen_k ∪ (gen ∖ kill_k)`,
+        // `kill := kill ∪ kill_k` — delayability (gen = IS-INST, kill =
+        // USED + BLOCKED) first-to-last, usability (gen = USED, kill =
+        // IS-INST) last-to-first.
+        let nodes = g.node_count();
+        let mut delay = Problem::new(Direction::Forward, Confluence::Must, nodes, ep);
+        let mut usable = Problem::new(Direction::Backward, Confluence::May, nodes, ep);
+        for n in g.nodes() {
+            let ni = n.index();
+            for instr in &g.block(n).instrs {
+                locals.delay_step(&mut delay.gen[ni], instr);
+                let kill = &mut delay.kill[ni];
+                locals.for_each_used(instr, |i| {
+                    kill.insert(i);
+                });
+                if let Some(row) = locals.blocked(instr) {
+                    kill.union_with(row);
+                }
+            }
+            for instr in g.block(n).instrs.iter().rev() {
+                locals.usable_step(&mut usable.gen[ni], instr);
+                if let Some(i) = locals.instance(instr) {
+                    usable.kill[ni].insert(i);
                 }
             }
         }
-        instr.for_each_use(|u| {
-            if let Some(&i) = temp_index.get(&u) {
-                used[idx].insert(i);
+        let (succs, preds) = node_adjacency(g);
+        let schedule = Schedule::build(&succs, &preds);
+        let solve = |problem: &Problem| {
+            if workers > 1 {
+                solve_partitioned(&succs, &preds, problem, &schedule, workers)
+            } else {
+                solve_scheduled(&succs, &preds, problem, &schedule)
             }
-        });
-        if let Some(d) = instr.def() {
-            blocked[idx].union_with(masks.expr_mentions(d));
-            if let Some(&i) = temp_index.get(&d) {
-                blocked[idx].insert(i);
-            }
+        };
+        let (delay, usable) = (solve(&delay), solve(&usable));
+        FlushFacts {
+            locals,
+            succs,
+            delay,
+            usable,
         }
     }
-    let mut delay_problem = Problem::new(Direction::Forward, Confluence::Must, points, ep);
-    delay_problem.gen = is_inst.clone();
-    for p in 0..points {
-        delay_problem.kill[p].copy_from(&used[p]);
-        delay_problem.kill[p].union_with(&blocked[p]);
+
+    /// The expression-pattern universe the bit indices refer to.
+    pub fn universe(&self) -> &PatternUniverse {
+        &self.locals.universe
     }
-    let solve = |problem: &Problem| -> Solution {
-        let (succs, preds, schedule): (_, _, &Schedule) = (pg.succs(), pg.preds(), pg.schedule());
-        if workers > 1 {
-            solve_partitioned(succs, preds, problem, schedule, workers)
-        } else {
-            solve_scheduled(succs, preds, problem, schedule)
+
+    /// The temporary `h_ε` of each pattern.
+    pub fn temps(&self) -> &[Var] {
+        &self.locals.temps
+    }
+
+    /// Recovers the per-instruction facts of block `n`, whose instructions
+    /// are `instrs` (the block's content when [`solve`](Self::solve) ran),
+    /// into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` was built for a different universe size.
+    pub fn recover(&self, n: NodeId, instrs: &[Instr], out: &mut BlockFacts) {
+        let ni = n.index();
+        let points = instrs.len().max(1);
+        let ep = self.locals.universe.expr_count();
+        ensure_rows(&mut out.delay, points + 1, ep);
+        ensure_rows(&mut out.usable, points + 1, ep);
+        out.points = points;
+        // X-USABLE* backward from the block's exit fact.
+        out.usable[points].copy_from(&self.usable.after[ni]);
+        for k in (0..points).rev() {
+            let (head, tail) = out.usable.split_at_mut(k + 1);
+            head[k].copy_from(&tail[0]);
+            if let Some(instr) = instrs.get(k) {
+                self.locals.usable_step(&mut head[k], instr);
+            }
         }
-    };
-    let delay = solve(&delay_problem);
-    let mut use_problem = Problem::new(Direction::Backward, Confluence::May, points, ep);
-    use_problem.gen = used.clone();
-    use_problem.kill = is_inst.clone();
-    let usable = solve(&use_problem);
-    FlushAnalysis {
-        universe,
-        temps,
-        is_inst,
-        used,
-        blocked,
-        delay,
-        usable,
+        // N-/X-DELAYABLE* forward from the block's entry fact.
+        out.delay[0].copy_from(&self.delay.before[ni]);
+        for k in 0..points {
+            let (head, tail) = out.delay.split_at_mut(k + 1);
+            tail[0].copy_from(&head[k]);
+            if let Some(instr) = instrs.get(k) {
+                self.locals.delay_step(&mut tail[0], instr);
+            }
+        }
+        // X-LATEST = X-DELAYABLE* · ¬∏_succ N-DELAYABLE*(succ), empty
+        // without successors (the paper's sum over no successor is false).
+        match self.succs.neighbors(ni).split_first() {
+            None => out.x_latest.clear(),
+            Some((&first, rest)) => {
+                out.meet.copy_from(&self.delay.before[first as usize]);
+                for &m in rest {
+                    out.meet.intersect_with(&self.delay.before[m as usize]);
+                }
+                out.x_latest.copy_from(&out.delay[points]);
+                out.x_latest.difference_with(&out.meet);
+            }
+        }
     }
 }
 
-/// The temporaries participating in the flush: every expression pattern of
-/// the program whose canonical temporary exists in the pool.
-fn participating(g: &mut FlowGraph) -> (PatternUniverse, Vec<Var>) {
-    let universe = PatternUniverse::collect(g);
-    let temps: Vec<Var> = universe
-        .expr_patterns()
-        .map(|(_, t)| g.temp_for(t))
-        .collect();
-    (universe, temps)
+impl Locals {
+    /// Collects `g`'s expression patterns and creates their temporaries.
+    fn new(g: &mut FlowGraph) -> Self {
+        let universe = PatternUniverse::collect(g);
+        let temps: Vec<Var> = universe
+            .expr_patterns()
+            .map(|(_, t)| g.temp_for(t))
+            .collect();
+        let ep = universe.expr_count();
+        // Built after the temporaries exist, so both tables cover every
+        // variable of the pool.
+        let vars = g.pool().len();
+        let mut temp_of = vec![NO_TEMP; vars];
+        let mut blocked_by = vec![BitSet::new(ep); vars];
+        for (i, t) in universe.expr_patterns() {
+            t.for_each_var(|v| {
+                blocked_by[v.index()].insert(i);
+            });
+        }
+        for (i, &h) in temps.iter().enumerate() {
+            temp_of[h.index()] = i as u32;
+            blocked_by[h.index()].insert(i);
+        }
+        Locals {
+            universe,
+            temps,
+            temp_of,
+            blocked_by,
+        }
+    }
+
+    /// The pattern whose temporary is `v`, if `v` participates.
+    fn temp(&self, v: Var) -> Option<usize> {
+        match self.temp_of.get(v.index()) {
+            Some(&i) if i != NO_TEMP => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// `IS-INST`: the pattern `instr` is an instance `h_ε := ε` of.
+    fn instance(&self, instr: &Instr) -> Option<usize> {
+        let Instr::Assign { lhs, rhs } = instr else {
+            return None;
+        };
+        self.temp(*lhs)?;
+        let i = self.universe.expr_id(rhs)?;
+        (self.temps[i] == *lhs).then_some(i)
+    }
+
+    /// Calls `f` with every `USED` bit of `instr`.
+    fn for_each_used(&self, instr: &Instr, mut f: impl FnMut(usize)) {
+        instr.for_each_use(|u| {
+            if let Some(i) = self.temp(u) {
+                f(i);
+            }
+        });
+    }
+
+    /// `BLOCKED` of `instr`, if it defines a variable.
+    fn blocked(&self, instr: &Instr) -> Option<&BitSet> {
+        instr.def().and_then(|d| self.blocked_by.get(d.index()))
+    }
+
+    /// Delayability transfer of one instruction: `x := IS-INST + x ·
+    /// ¬USED · ¬BLOCKED`.
+    fn delay_step(&self, x: &mut BitSet, instr: &Instr) {
+        self.for_each_used(instr, |i| {
+            x.remove(i);
+        });
+        if let Some(row) = self.blocked(instr) {
+            x.difference_with(row);
+        }
+        if let Some(i) = self.instance(instr) {
+            x.insert(i);
+        }
+    }
+
+    /// Usability transfer of one instruction, against control: `x := USED
+    /// + x · ¬IS-INST`.
+    fn usable_step(&self, x: &mut BitSet, instr: &Instr) {
+        if let Some(i) = self.instance(instr) {
+            x.remove(i);
+        }
+        self.for_each_used(instr, |i| {
+            x.insert(i);
+        });
+    }
 }
 
 /// How many times `instr` reads `h`.
@@ -242,11 +453,8 @@ pub fn final_flush_observed(
     recorder: &ProvRecorder,
     workers: usize,
 ) -> FlushStats {
-    let analysis = analyze_flush_workers(g, workers);
-    for (name, sol) in [
-        ("delayability", &analysis.delay),
-        ("usability", &analysis.usable),
-    ] {
+    let facts = FlushFacts::solve(g, workers);
+    for (name, sol) in [("delayability", &facts.delay), ("usability", &facts.usable)] {
         tracer.counter(
             "analysis",
             name,
@@ -257,171 +465,93 @@ pub fn final_flush_observed(
             ],
         );
     }
-    let universe = analysis.universe;
-    let temps = analysis.temps;
-    let ep = universe.expr_count();
     let mut stats = FlushStats::default();
+    let ep = facts.universe().expr_count();
     if ep == 0 {
         return stats;
     }
+    stats.iterations = facts.delay.iterations + facts.usable.iterations;
+    stats.worklist_pushes = facts.delay.worklist_pushes + facts.usable.worklist_pushes;
+    stats.max_worklist_len = facts
+        .delay
+        .max_worklist_len
+        .max(facts.usable.max_worklist_len);
 
-    let g_snapshot = g.clone();
-    let pg = PointGraph::build(&g_snapshot);
-    let points = pg.len();
-    let is_inst = analysis.is_inst;
-    let used = analysis.used;
-    let blocked = analysis.blocked;
-    let delay = analysis.delay;
-    let usable = analysis.usable;
-    stats.iterations = delay.iterations + usable.iterations;
-    stats.worklist_pushes = delay.worklist_pushes + usable.worklist_pushes;
-    stats.max_worklist_len = delay.max_worklist_len.max(usable.max_worklist_len);
+    // One streaming pass per block: recover its facts, then rebuild its
+    // instruction list from the one taken out of the graph.
+    let mut block = BlockFacts::new(ep);
+    let mut work: [BitSet; 4] = std::array::from_fn(|_| BitSet::new(ep));
+    for n in g.nodes() {
+        let old = mem::take(&mut g.block_mut(n).instrs);
+        facts.recover(n, &old, &mut block);
+        let mut emit = Emit {
+            g,
+            n,
+            facts: &facts,
+            recorder,
+            stats: &mut stats,
+            fresh: Vec::with_capacity(old.len()),
+        };
+        emit.block(old, &block, &mut work);
+        let fresh = emit.fresh;
+        g.block_mut(n).instrs = fresh;
+    }
+    stats
+}
 
-    // Latestness and initialization points (no further data flow).
-    let mut insert_before = vec![BitSet::new(ep); points];
-    let mut insert_after = vec![BitSet::new(ep); points];
-    let mut reconstruct = vec![BitSet::new(ep); points];
-    for p in pg.points() {
-        let idx = p.index();
-        for (i, &h_temp) in temps.iter().enumerate() {
-            let n_delay = delay.before[idx].contains(i);
-            let x_delay = delay.after[idx].contains(i);
-            let x_usable = usable.after[idx].contains(i);
-            let n_latest = n_delay && (used[idx].contains(i) || blocked[idx].contains(i));
-            let x_latest = x_delay
-                && pg.succs()[idx]
-                    .iter()
-                    .any(|&q| !delay.before[q as usize].contains(i));
-            if n_latest {
-                let instr = pg.instr(p);
-                let multi_use = instr
-                    .map(|instr| use_count(instr, h_temp) >= 2)
-                    .unwrap_or(false);
+/// The rewrite of one block `n` of `g`: builds its new instruction list.
+struct Emit<'a> {
+    g: &'a FlowGraph,
+    n: NodeId,
+    facts: &'a FlushFacts,
+    recorder: &'a ProvRecorder,
+    stats: &'a mut FlushStats,
+    fresh: Vec<Instr>,
+}
+
+impl Emit<'_> {
+    /// Rewrites the block's instructions `old`, whose facts are `block`;
+    /// `work` holds four sets of the universe's width.
+    fn block(&mut self, old: Vec<Instr>, block: &BlockFacts, work: &mut [BitSet; 4]) {
+        let [used, latest, insert_before, reconstruct] = work;
+        let locals = &self.facts.locals;
+        let last = block.points() - 1;
+        let empty = old.is_empty();
+        for (k, instr) in old.into_iter().enumerate() {
+            // N-LATEST = N-DELAYABLE* · (USED + BLOCKED), then the
+            // per-pattern decisions on its set bits only.
+            used.clear();
+            locals.for_each_used(&instr, |i| {
+                used.insert(i);
+            });
+            latest.copy_from(used);
+            if let Some(row) = locals.blocked(&instr) {
+                latest.union_with(row);
+            }
+            latest.intersect_with(block.n_delayable(k));
+            insert_before.clear();
+            reconstruct.clear();
+            for i in latest.iter() {
+                let h = locals.temps[i];
+                let multi_use = use_count(&instr, h) >= 2;
                 // A blockade that *redefines* the temporary (another
                 // instance of the same pattern, in particular) makes the
                 // arriving value dead: never insert for it.
-                let redefines_h = instr.and_then(Instr::def) == Some(h_temp);
-                let is_used = used[idx].contains(i);
-                if is_used && !x_usable && !multi_use {
-                    reconstruct[idx].insert(i);
-                } else if (is_used && multi_use) || (x_usable && (is_used || !redefines_h)) {
-                    insert_before[idx].insert(i);
+                let redefines_h = instr.def() == Some(h);
+                let is_used = used.contains(i);
+                let usable = block.x_usable(k).contains(i);
+                if is_used && !usable && !multi_use {
+                    reconstruct.insert(i);
+                } else if (is_used && multi_use) || (usable && (is_used || !redefines_h)) {
+                    insert_before.insert(i);
                 }
                 // Remaining cases: the value is dead here (redefined, or
                 // blocked with no use on any continuation) — dropped.
             }
-            if x_latest && x_usable {
-                insert_after[idx].insert(i);
+            for i in insert_before.iter() {
+                self.insert(i, "N-INIT = N-LATEST · X-USABLE*");
             }
-        }
-    }
-
-    // Rewrite the program.
-    let observe_insert = |instr: &Instr, pattern: usize, n: am_ir::NodeId, fact: &str| {
-        recorder.record(ProvRecord {
-            kind: ProvKind::FlushInsert,
-            phase: "flush",
-            round: 0,
-            node: g_snapshot.label(n).to_owned(),
-            index: None,
-            instr: instr.display(g_snapshot.pool()),
-            new_instr: None,
-            pattern: Some(pattern as u32),
-            instr_id: None,
-            justification: fact.to_owned(),
-        });
-    };
-    for n in g_snapshot.nodes() {
-        let mut fresh: Vec<Instr> = Vec::new();
-        let first = pg.first_of(n);
-        let last = pg.last_of(n);
-        for pi in first.index()..=last.index() {
-            let p = am_dfa::PointId(pi as u32);
-            let instr = match pg.instr(p) {
-                Some(instr) => instr,
-                None => {
-                    // Virtual point of an empty block: it can still carry
-                    // edge insertions (X-LATEST on a split edge).
-                    for i in insert_before[pi].iter().chain(insert_after[pi].iter()) {
-                        let init = Instr::Assign {
-                            lhs: temps[i],
-                            rhs: universe.expr(i),
-                        };
-                        if recorder.is_enabled() {
-                            observe_insert(
-                                &init,
-                                i,
-                                n,
-                                "LATEST on the empty (split-edge) block, usable onward",
-                            );
-                        }
-                        fresh.push(init);
-                        stats.inserted += 1;
-                    }
-                    continue;
-                }
-            };
-            // Insertions before this instruction.
-            for i in insert_before[pi].iter() {
-                let init = Instr::Assign {
-                    lhs: temps[i],
-                    rhs: universe.expr(i),
-                };
-                if recorder.is_enabled() {
-                    observe_insert(&init, i, n, "N-INIT = N-LATEST · X-USABLE*");
-                }
-                fresh.push(init);
-                stats.inserted += 1;
-            }
-            // The instruction itself.
-            if is_inst[pi].is_empty() {
-                let mut rewritten = instr.clone();
-                for i in reconstruct[pi].iter() {
-                    match reconstruct_use(&rewritten, temps[i], universe.expr(i)) {
-                        Some(new_instr) => {
-                            if recorder.is_enabled() {
-                                recorder.record(ProvRecord {
-                                    kind: ProvKind::FlushReconstruct,
-                                    phase: "flush",
-                                    round: 0,
-                                    node: g_snapshot.label(n).to_owned(),
-                                    index: Some((pi - first.index()) as u32),
-                                    instr: rewritten.display(g_snapshot.pool()),
-                                    new_instr: Some(new_instr.display(g_snapshot.pool())),
-                                    pattern: Some(i as u32),
-                                    instr_id: None,
-                                    justification:
-                                        "RECONSTRUCT = USED · N-LATEST · ¬X-USABLE*: sole use, \
-                                         original term restored"
-                                            .to_owned(),
-                                });
-                            }
-                            rewritten = new_instr;
-                            stats.reconstructed += 1;
-                        }
-                        None => {
-                            // The use position cannot hold a term (it sits
-                            // inside a binary term): keep the
-                            // initialization instead.
-                            let init = Instr::Assign {
-                                lhs: temps[i],
-                                rhs: universe.expr(i),
-                            };
-                            if recorder.is_enabled() {
-                                observe_insert(
-                                    &init,
-                                    i,
-                                    n,
-                                    "RECONSTRUCT held, but the use position cannot carry a term",
-                                );
-                            }
-                            fresh.push(init);
-                            stats.inserted += 1;
-                        }
-                    }
-                }
-                fresh.push(rewritten);
-            } else {
+            if let Some(pattern) = locals.instance(&instr) {
                 // The instruction is an instance of some pattern and is
                 // removed (re-inserted at its latest points). If it was
                 // also the stop-point of *another* temporary marked for
@@ -429,57 +559,104 @@ pub fn final_flush_observed(
                 // removed instance — materialize the initialization here,
                 // where it dominates every re-insertion point reached
                 // through this path.
-                if recorder.is_enabled() {
-                    recorder.record(ProvRecord {
-                        kind: ProvKind::FlushRemove,
-                        phase: "flush",
-                        round: 0,
-                        node: g_snapshot.label(n).to_owned(),
-                        index: Some((pi - first.index()) as u32),
-                        instr: instr.display(g_snapshot.pool()),
-                        new_instr: None,
-                        pattern: is_inst[pi].iter().next().map(|i| i as u32),
-                        instr_id: None,
-                        justification:
-                            "IS-INST: the instance leaves its motion position for its latest points"
-                                .to_owned(),
-                    });
+                self.record(
+                    ProvKind::FlushRemove,
+                    Some(k),
+                    &instr,
+                    None,
+                    pattern,
+                    "IS-INST: the instance leaves its motion position for its latest points",
+                );
+                self.stats.instances_removed += 1;
+                for i in reconstruct.iter() {
+                    self.insert(
+                        i,
+                        "reconstruction use travels with a removed instance; initialization \
+                         materialized here",
+                    );
                 }
-                stats.instances_removed += 1;
-                for i in reconstruct[pi].iter() {
-                    let init = Instr::Assign {
-                        lhs: temps[i],
-                        rhs: universe.expr(i),
-                    };
-                    if recorder.is_enabled() {
-                        observe_insert(
-                            &init,
+            } else {
+                let mut rewritten = instr;
+                for i in reconstruct.iter() {
+                    let eps = self.facts.universe().expr(i);
+                    match reconstruct_use(&rewritten, locals.temps[i], eps) {
+                        Some(new_instr) => {
+                            self.record(
+                                ProvKind::FlushReconstruct,
+                                Some(k),
+                                &rewritten,
+                                Some(&new_instr),
+                                i,
+                                "RECONSTRUCT = USED · N-LATEST · ¬X-USABLE*: sole use, original \
+                                 term restored",
+                            );
+                            rewritten = new_instr;
+                            self.stats.reconstructed += 1;
+                        }
+                        // The use position cannot hold a term (it sits
+                        // inside a binary term): keep the initialization
+                        // instead.
+                        None => self.insert(
                             i,
-                            n,
-                            "reconstruction use travels with a removed instance; initialization \
-                             materialized here",
-                        );
+                            "RECONSTRUCT held, but the use position cannot carry a term",
+                        ),
                     }
-                    fresh.push(init);
-                    stats.inserted += 1;
                 }
-            }
-            // Insertions after this instruction.
-            for i in insert_after[pi].iter() {
-                let init = Instr::Assign {
-                    lhs: temps[i],
-                    rhs: universe.expr(i),
-                };
-                if recorder.is_enabled() {
-                    observe_insert(&init, i, n, "X-INIT = X-LATEST · X-USABLE*");
-                }
-                fresh.push(init);
-                stats.inserted += 1;
+                self.fresh.push(rewritten);
             }
         }
-        g.block_mut(n).instrs = fresh;
+        // X-INIT = X-LATEST · X-USABLE* after the last point — on an empty
+        // block, its pass-through point (X-LATEST on a split edge).
+        latest.copy_from(block.x_latest());
+        latest.intersect_with(block.x_usable(last));
+        let fact = if empty {
+            "LATEST on the empty (split-edge) block, usable onward"
+        } else {
+            "X-INIT = X-LATEST · X-USABLE*"
+        };
+        for i in latest.iter() {
+            self.insert(i, fact);
+        }
     }
-    stats
+
+    /// Appends the initialization `h_ε := ε` of pattern `i`.
+    fn insert(&mut self, i: usize, fact: &str) {
+        let init = Instr::Assign {
+            lhs: self.facts.locals.temps[i],
+            rhs: self.facts.universe().expr(i),
+        };
+        self.record(ProvKind::FlushInsert, None, &init, None, i, fact);
+        self.fresh.push(init);
+        self.stats.inserted += 1;
+    }
+
+    /// Logs one flush decision about pattern `pattern` at point `index`
+    /// of the block (a disabled recorder costs one branch).
+    fn record(
+        &self,
+        kind: ProvKind,
+        index: Option<usize>,
+        instr: &Instr,
+        new_instr: Option<&Instr>,
+        pattern: usize,
+        justification: &str,
+    ) {
+        if self.recorder.is_enabled() {
+            let pool = self.g.pool();
+            self.recorder.record(ProvRecord {
+                kind,
+                phase: "flush",
+                round: 0,
+                node: self.g.label(self.n).to_owned(),
+                index: index.map(|k| k as u32),
+                instr: instr.display(pool),
+                new_instr: new_instr.map(|i| i.display(pool)),
+                pattern: Some(pattern as u32),
+                instr_id: None,
+                justification: justification.to_owned(),
+            });
+        }
+    }
 }
 
 #[cfg(test)]

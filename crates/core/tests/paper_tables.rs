@@ -1,5 +1,8 @@
-//! Hand-checked analysis facts on the running example — the Table 1 and
-//! Table 2 predicate values one computes when tracing the paper by hand.
+//! Hand-checked analysis facts on the running example — the Table 1,
+//! Table 2 and Table 3 predicate values one computes when tracing the paper
+//! by hand.
+
+mod support;
 
 use am_core::{hoist, init, rae};
 use am_dfa::PointGraph;
@@ -231,7 +234,7 @@ fn table3_delayability_and_usability_on_g_assmot() {
     let g0 = parse(RUNNING_EXAMPLE).unwrap();
     let result = am_core::global::optimize(&g0);
     let mut g = result.after_motion.clone().unwrap();
-    let analysis = am_core::flush::analyze_flush(&mut g);
+    let analysis = support::analyze_flush(&mut g);
     let pg = PointGraph::build(&g);
 
     let find_instr = |needle: &str| -> am_dfa::PointId {

@@ -1,15 +1,14 @@
 //! Compressed sparse adjacency over a dense point set.
 //!
-//! The solver's graphs are rebuilt every motion round and walked on every
-//! solve, so their representation is on the hot path twice. A
-//! `Vec<Vec<usize>>` pays one heap allocation per point and scatters
-//! neighbor lists across the heap — on an XL point set (10⁴–10⁵ points)
-//! the rebuild alone costs tens of milliseconds and every traversal
-//! pointer-chases cold cache lines. [`Adjacency`] stores the same lists in
-//! compressed sparse row form: one flat `targets` array plus one offset
-//! per point. Rebuilds are two appends into recycled buffers, traversals
-//! are contiguous slice scans, and the whole structure is two allocations
-//! regardless of point count.
+//! The solver's graphs are walked on every solve, so their representation
+//! is on the hot path. A `Vec<Vec<usize>>` pays one heap allocation per
+//! point and scatters neighbor lists across the heap — on an XL point set
+//! (10⁴–10⁵ points) the build alone costs tens of milliseconds and every
+//! traversal pointer-chases cold cache lines. [`Adjacency`] stores the
+//! same lists in compressed sparse row form: one flat `targets` array plus
+//! one offset per point. Builds are appends, traversals are contiguous
+//! slice scans, and the whole structure is two allocations regardless of
+//! point count.
 
 use std::ops::Index;
 
@@ -19,7 +18,7 @@ use std::ops::Index;
 /// order they were appended — the same order the equivalent
 /// `Vec<Vec<usize>>` would hold them. Build one with [`from_lists`]
 /// (tests, small graphs) or append points in index order with
-/// [`start_point`]/[`push_neighbor`] (hot rebuilds into recycled buffers).
+/// [`start_point`]/[`push_neighbor`].
 ///
 /// [`from_lists`]: Adjacency::from_lists
 /// [`start_point`]: Adjacency::start_point
@@ -98,13 +97,6 @@ impl Adjacency {
         (self.offsets[p + 1] - self.offsets[p]) as usize
     }
 
-    /// Drops all points, keeping the buffers for reuse.
-    pub fn clear(&mut self) {
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.targets.clear();
-    }
-
     /// Reserves room for `points` further points and `edges` further
     /// neighbor entries.
     pub fn reserve(&mut self, points: usize, edges: usize) {
@@ -163,18 +155,6 @@ mod tests {
             assert_eq!(appended.neighbors(p), expect.as_slice());
             assert_eq!(appended.degree(p), list.len());
         }
-    }
-
-    #[test]
-    fn clear_recycles_for_a_fresh_build() {
-        let mut adj = Adjacency::from_lists(&[vec![1], vec![0]]);
-        adj.clear();
-        assert!(adj.is_empty());
-        assert_eq!(adj.edge_count(), 0);
-        adj.start_point();
-        adj.push_neighbor(0);
-        assert_eq!(adj.len(), 1);
-        assert_eq!(&adj[0], &[0]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Point-partitioned parallel fixed-point solves over a single graph.
 //!
-//! [`solve_parallel`](crate::solve_parallel) splits the *bit universe*
-//! across threads; this module splits the *point set*, which is the axis
-//! that actually grows on XL workloads (10k–100k points over a universe of
-//! a few hundred patterns). The design:
+//! This module splits the *point set* across threads — the axis that
+//! actually grows on XL workloads (10k–100k points over a universe of a few
+//! hundred patterns), where splitting the bit universe would leave each
+//! thread a handful of words. The design:
 //!
 //! * **Rank-contiguous partitions.** Points are permuted into the
 //!   direction's priority order (the [`Schedule`] rank), and the rank axis

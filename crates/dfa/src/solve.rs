@@ -10,8 +10,9 @@
 //!
 //! The solver is granularity-agnostic: callers hand it predecessor and
 //! successor adjacency over any point set — instruction-level points
-//! ([`PointGraph`](crate::PointGraph), Tables 2–3) or whole blocks
-//! (Table 1).
+//! ([`PointGraph`](crate::PointGraph)) or whole blocks
+//! ([`node_adjacency`](crate::node_adjacency), with per-block composed
+//! transfers for Tables 2–3).
 //!
 //! # Scheduling
 //!
@@ -762,202 +763,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solve_sums_pushes_and_maxes_worklist_len() {
-        let (succs, preds) = diamond();
-        let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 8);
-        for bit in 0..8 {
-            p.gen[0].insert(bit);
-        }
-        let seq = solve(&succs, &preds, &p);
-        let par = solve_parallel(&succs, &preds, &p, 4);
-        // Each of the 4 partitions seeds all 4 points.
-        assert!(par.worklist_pushes >= 16);
-        assert!(par.worklist_pushes >= seq.worklist_pushes);
-        assert!(par.max_worklist_len >= 4);
-        assert_eq!(par.before, seq.before);
-    }
-
-    #[test]
     #[should_panic(expected = "gen length mismatch")]
     fn length_mismatch_panics() {
         let (succs, preds) = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 3, 1);
         p.boundary = BitSet::new(1);
         solve(&succs, &preds, &p);
-    }
-}
-
-/// Restriction of a problem to a contiguous bit range (used by the
-/// parallel solver — gen/kill systems are independent per bit).
-fn restrict(problem: &Problem, range: std::ops::Range<usize>) -> Problem {
-    let width = range.len();
-    let shrink = |set: &BitSet| {
-        let mut out = BitSet::new(width);
-        for b in set.iter() {
-            if range.contains(&b) {
-                out.insert(b - range.start);
-            }
-        }
-        out
-    };
-    Problem {
-        direction: problem.direction,
-        confluence: problem.confluence,
-        universe: width,
-        gen: problem.gen.iter().map(&shrink).collect(),
-        kill: problem.kill.iter().map(&shrink).collect(),
-        boundary: shrink(&problem.boundary),
-    }
-}
-
-/// Solves `problem` with the bit universe partitioned across `threads`
-/// worker threads.
-///
-/// A gen/kill system is a product of independent one-bit systems, so the
-/// universe can be chunked and solved concurrently; the merged solution is
-/// identical to [`solve`]'s. The schedule is built once and shared by all
-/// partitions. Worth it for programs with many patterns; for small
-/// universes the sequential solver wins.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`solve`], and if `threads == 0`.
-pub fn solve_parallel(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    threads: usize,
-) -> Solution {
-    assert!(threads > 0, "at least one thread required");
-    let universe = problem.universe;
-    if threads == 1 || universe < 2 * threads {
-        return solve(succs, preds, problem);
-    }
-    check_lengths(succs, preds, problem);
-    let schedule = Schedule::build(succs, preds);
-    let chunk = universe.div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..threads)
-        .map(|t| (t * chunk).min(universe)..((t + 1) * chunk).min(universe))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let partials: Vec<(std::ops::Range<usize>, Solution)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                let schedule = &schedule;
-                scope.spawn(move || {
-                    let sub = restrict(problem, range.clone());
-                    (range, solve_scheduled(succs, preds, &sub, schedule))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("solver thread"))
-            .collect()
-    });
-    // Merge.
-    let points = succs.len();
-    let mut before = vec![BitSet::new(universe); points];
-    let mut after = vec![BitSet::new(universe); points];
-    let mut iterations = 0;
-    let mut worklist_pushes = 0;
-    let mut max_worklist_len = 0;
-    for (range, sol) in partials {
-        iterations += sol.iterations;
-        worklist_pushes += sol.worklist_pushes;
-        max_worklist_len = max_worklist_len.max(sol.max_worklist_len);
-        for p in 0..points {
-            for b in sol.before[p].iter() {
-                before[p].insert(b + range.start);
-            }
-            for b in sol.after[p].iter() {
-                after[p].insert(b + range.start);
-            }
-        }
-    }
-    Solution {
-        before,
-        after,
-        iterations,
-        worklist_pushes,
-        max_worklist_len,
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-
-    fn random_setup(seed: u64, points: usize, universe: usize) -> (Adjacency, Adjacency, Problem) {
-        // Deterministic pseudo-random structure without external deps.
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut succs = vec![Vec::new(); points];
-        let mut preds = vec![Vec::new(); points];
-        for i in 0..points - 1 {
-            succs[i].push(i + 1);
-            preds[i + 1].push(i);
-        }
-        for _ in 0..points {
-            let a = (next() as usize) % points;
-            let b = (next() as usize) % points;
-            if a != b && !succs[a].contains(&b) {
-                succs[a].push(b);
-                preds[b].push(a);
-            }
-        }
-        let mut p = Problem::new(Direction::Forward, Confluence::Must, points, universe);
-        for _ in 0..universe * 2 {
-            p.gen[(next() as usize) % points].insert((next() as usize) % universe);
-            p.kill[(next() as usize) % points].insert((next() as usize) % universe);
-        }
-        (
-            Adjacency::from_lists(&succs),
-            Adjacency::from_lists(&preds),
-            p,
-        )
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        for seed in 0..8 {
-            let (succs, preds, p) = random_setup(seed, 20, 70);
-            let seq = solve(&succs, &preds, &p);
-            for threads in [1, 2, 4, 7] {
-                let par = solve_parallel(&succs, &preds, &p, threads);
-                for point in 0..succs.len() {
-                    assert_eq!(
-                        par.before[point], seq.before[point],
-                        "seed {seed} t {threads}"
-                    );
-                    assert_eq!(
-                        par.after[point], seq.after[point],
-                        "seed {seed} t {threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn small_universes_fall_back_to_sequential() {
-        let (succs, preds, p) = random_setup(3, 8, 3);
-        let par = solve_parallel(&succs, &preds, &p, 8);
-        let seq = solve(&succs, &preds, &p);
-        assert_eq!(par.before, seq.before);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics() {
-        let (succs, preds, p) = random_setup(1, 4, 4);
-        solve_parallel(&succs, &preds, &p, 0);
     }
 }

@@ -118,10 +118,16 @@ impl NetListener {
         }
     }
 
-    /// Accepts one connection.
+    /// Accepts one connection. TCP connections get `TCP_NODELAY`: every
+    /// frame is one write, so there is nothing for Nagle's algorithm to
+    /// coalesce, only replies to delay.
     pub fn accept(&self) -> io::Result<NetStream> {
         match self {
-            NetListener::Tcp(l) => l.accept().map(|(s, _)| NetStream::Tcp(s)),
+            NetListener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
+                Ok(NetStream::Tcp(s))
+            }
             #[cfg(unix)]
             NetListener::Unix(l) => l.accept().map(|(s, _)| NetStream::Unix(s)),
         }
@@ -138,10 +144,15 @@ pub enum NetStream {
 }
 
 impl NetStream {
-    /// Connects to `endpoint`.
+    /// Connects to `endpoint`, with `TCP_NODELAY` on TCP (see
+    /// [`NetListener::accept`]).
     pub fn connect(endpoint: &Endpoint) -> io::Result<NetStream> {
         match endpoint {
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(NetStream::Tcp),
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                s.set_nodelay(true)?;
+                Ok(NetStream::Tcp(s))
+            }
             #[cfg(unix)]
             Endpoint::Unix(path) => UnixStream::connect(path).map(NetStream::Unix),
         }
@@ -239,5 +250,19 @@ mod tests {
         };
         assert!(!addr.ends_with(":0"), "{addr}");
         drop(listener);
+    }
+
+    #[test]
+    fn both_ends_of_a_tcp_connection_disable_nagle() {
+        let (listener, bound) =
+            NetListener::bind(&Endpoint::parse("127.0.0.1:0").unwrap()).unwrap();
+        let client = NetStream::connect(&bound).unwrap();
+        let server = listener.accept().unwrap();
+        for (end, stream) in [("client", &client), ("server", &server)] {
+            let NetStream::Tcp(s) = stream else {
+                panic!("{end}: tcp stream expected")
+            };
+            assert!(s.nodelay().unwrap(), "{end} end has Nagle enabled");
+        }
     }
 }

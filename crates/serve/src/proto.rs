@@ -35,7 +35,11 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// corrupt stream rather than an allocation request.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) in a single `write_all` and
+/// flushes. Prefix and payload go out as one buffer: written separately,
+/// the payload would be a second small segment that Nagle's algorithm holds
+/// back until the peer acknowledges the first — on a request/response
+/// stream, often not before the peer's next request.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
@@ -47,8 +51,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -60,15 +66,15 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 /// the peer actually goes away).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
     let mut header = [0u8; 4];
-    loop {
-        match r.read(&mut header[..1]) {
+    let got = loop {
+        match r.read(&mut header) {
             Ok(0) => return Ok(None),
-            Ok(_) => break,
+            Ok(n) => break n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
-    }
-    read_full(r, &mut header[1..])?;
+    };
+    read_full(r, &mut header[got..])?;
     let len = u32::from_be_bytes(header) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -710,6 +716,37 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"a\":1}"));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Accepts every buffer whole and counts the calls.
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        for (n, payload) in ["{\"a\":1}", "", "x"].into_iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, n + 1, "frame {n} took more than one write");
+        }
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"a\":1}"));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("x"));
     }
 
     #[test]

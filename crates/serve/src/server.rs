@@ -21,7 +21,7 @@
 //! disk-cache index, and only then acknowledges.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, ErrorKind};
+use std::io::{self, BufReader, ErrorKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -482,13 +482,16 @@ fn serve_metrics_exchange(shared: &Shared, mut stream: NetStream) {
     };
 }
 
-fn handle_connection(shared: &Arc<Shared>, mut stream: NetStream, conn_id: u64) {
+fn handle_connection(shared: &Arc<Shared>, stream: NetStream, conn_id: u64) {
     if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     let Ok(writer) = stream.try_clone() else {
         return;
     };
+    // Requests arrive one segment each (both ends set TCP_NODELAY); the
+    // buffer takes whatever has queued up in one read.
+    let mut stream = BufReader::new(stream);
     let conn = Arc::new(ConnState {
         id: conn_id,
         writer: Mutex::new(writer),

@@ -107,31 +107,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
 fn show_flush(g: &mut FlowGraph) {
     println!("== Table 3 (delayability / usability) — G_AssMot ==");
-    let analysis = flush::analyze_flush(g);
-    let snapshot = g.clone();
-    let pg = PointGraph::build(&snapshot);
+    // Solved over the block graph; the per-instruction facts are recovered
+    // one block at a time.
+    let facts = flush::FlushFacts::solve(g, 1);
+    let mut block = flush::BlockFacts::new(facts.universe().expr_count());
     println!(
         "{:<24} {:<10} {:>8} {:>8} {:>8} {:>8}",
         "instruction", "pattern", "N-DELAY", "X-DELAY", "N-USABLE", "X-USABLE"
     );
-    for p in pg.points() {
-        let Some(instr) = pg.instr(p) else { continue };
-        for (i, eps) in analysis.universe.expr_patterns() {
-            let interesting = analysis.is_inst[p.index()].contains(i)
-                || analysis.used[p.index()].contains(i)
-                || analysis.blocked[p.index()].contains(i);
-            if !interesting {
-                continue;
+    for n in g.nodes() {
+        let instrs = &g.block(n).instrs;
+        facts.recover(n, instrs, &mut block);
+        for (k, instr) in instrs.iter().enumerate() {
+            for (i, eps) in facts.universe().expr_patterns() {
+                let row = [
+                    block.n_delayable(k).contains(i),
+                    block.x_delayable(k).contains(i),
+                    block.n_usable(k).contains(i),
+                    block.x_usable(k).contains(i),
+                ];
+                if !row.contains(&true) {
+                    continue;
+                }
+                println!(
+                    "{:<24} {:<10} {:>8} {:>8} {:>8} {:>8}",
+                    instr.display(g.pool()),
+                    eps.display(g.pool()),
+                    row[0],
+                    row[1],
+                    row[2],
+                    row[3],
+                );
             }
-            println!(
-                "{:<24} {:<10} {:>8} {:>8} {:>8} {:>8}",
-                instr.display(snapshot.pool()),
-                eps.display(snapshot.pool()),
-                analysis.delay.before[p.index()].contains(i),
-                analysis.delay.after[p.index()].contains(i),
-                analysis.usable.before[p.index()].contains(i),
-                analysis.usable.after[p.index()].contains(i),
-            );
         }
     }
     println!();
