@@ -5,7 +5,7 @@
 use am_bench::timer::{bench, iters_from_env};
 use am_bench::workloads::loop_nest;
 use am_core::{flush, hoist, init, motion, rae};
-use am_dfa::{solve, Confluence, Direction, PointGraph, Problem};
+use am_dfa::{solve, Confluence, Direction, PointGraph, Problem, Seed};
 use am_ir::PatternUniverse;
 use std::hint::black_box;
 
@@ -85,6 +85,12 @@ fn main() {
         }
     }
     bench("sequential", iters, || {
-        black_box(solve(pg.succs(), pg.preds(), &problem));
+        black_box(solve(
+            pg.succs(),
+            pg.preds(),
+            pg.schedule(),
+            &problem,
+            Seed::cold(),
+        ));
     });
 }

@@ -309,16 +309,8 @@ pub struct ComplexityRow {
 
 /// Runs the full pipeline on `g` and records the complexity metrics.
 pub fn measure_complexity(label: &str, g: &FlowGraph) -> ComplexityRow {
-    measure_complexity_workers(label, g, 1)
-}
-
-/// Like [`measure_complexity`], but solving cold fixpoints on `workers`
-/// threads (1 = the serial scheduled solver; the result is bit-identical
-/// either way, only the wall time moves).
-pub fn measure_complexity_workers(label: &str, g: &FlowGraph, workers: usize) -> ComplexityRow {
     let config = GlobalConfig {
         keep_snapshots: false,
-        solver_workers: workers.max(1),
         ..Default::default()
     };
     let start = Instant::now();
@@ -553,25 +545,6 @@ mod tests {
         assert!(g.node_count() >= 64 * 3);
         let row = measure_complexity("inline", &g);
         assert!(row.converged);
-    }
-
-    #[test]
-    fn xl_families_are_worker_count_deterministic() {
-        use am_core::global::{optimize_with, GlobalConfig};
-        for g in [nest_grid(6, 2, 3), wide_fan(48, 3), inlined_program(48, 5)] {
-            let serial = optimize_with(&g, &GlobalConfig::default());
-            let parallel = optimize_with(
-                &g,
-                &GlobalConfig {
-                    solver_workers: 8,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                am_ir::text::to_text(&serial.program),
-                am_ir::text::to_text(&parallel.program)
-            );
-        }
     }
 
     #[test]

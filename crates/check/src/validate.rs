@@ -1,7 +1,7 @@
 //! Per-phase differential validation of one program.
 //!
 //! [`validate`] replays the optimizer through the phase-boundary hooks of
-//! [`optimize_hooked`](am_core::global::optimize_hooked), snapshotting the
+//! [`optimize_hooked`], snapshotting the
 //! program after every phase, then checks each *consecutive pair* of
 //! snapshots — original vs. split, split vs. init, round `r` vs. round
 //! `r+1`, … — against the counting interpreter on corresponding runs (the

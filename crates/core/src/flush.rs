@@ -48,8 +48,7 @@ use std::mem;
 
 use am_bitset::BitSet;
 use am_dfa::{
-    node_adjacency, solve_partitioned, solve_scheduled, Adjacency, Confluence, Direction, Problem,
-    Schedule, Solution,
+    node_adjacency, solve, Adjacency, Confluence, Direction, Problem, Schedule, Seed, Solution,
 };
 use am_ir::{Cond, FlowGraph, Instr, NodeId, Operand, PatternUniverse, Term, Var};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
@@ -174,11 +173,9 @@ fn ensure_rows(rows: &mut Vec<BitSet>, n: usize, width: usize) {
 }
 
 impl FlushFacts {
-    /// Solves delayability and usability over `g`'s block graph, on
-    /// `workers` threads via the partitioned solver when `workers > 1`
-    /// (facts are bit-identical for any worker count). Creates the
-    /// canonical temporary of every expression pattern in `g`'s pool.
-    pub fn solve(g: &mut FlowGraph, workers: usize) -> Self {
+    /// Solves delayability and usability over `g`'s block graph. Creates
+    /// the canonical temporary of every expression pattern in `g`'s pool.
+    pub fn solve(g: &mut FlowGraph) -> Self {
         let locals = Locals::new(g);
         let ep = locals.universe.expr_count();
         // Compose each block's rows into one transfer `gen ∪ (in ∖ kill)`:
@@ -210,14 +207,8 @@ impl FlushFacts {
         }
         let (succs, preds) = node_adjacency(g);
         let schedule = Schedule::build(&succs, &preds);
-        let solve = |problem: &Problem| {
-            if workers > 1 {
-                solve_partitioned(&succs, &preds, problem, &schedule, workers)
-            } else {
-                solve_scheduled(&succs, &preds, problem, &schedule)
-            }
-        };
-        let (delay, usable) = (solve(&delay), solve(&usable));
+        let delay = solve(&succs, &preds, &schedule, &delay, Seed::cold());
+        let usable = solve(&succs, &preds, &schedule, &usable, Seed::cold());
         FlushFacts {
             locals,
             succs,
@@ -433,27 +424,20 @@ fn reconstruct_use(instr: &Instr, h: Var, eps: Term) -> Option<Instr> {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn final_flush(g: &mut FlowGraph) -> FlushStats {
-    final_flush_traced(g, &Tracer::disabled())
+    final_flush_observed(g, &Tracer::disabled(), &ProvRecorder::disabled())
 }
 
-/// As [`final_flush`], with tracing: emits one `analysis` counter per
-/// solved system (`delayability`, `usability`) with its fixpoint metrics.
-pub fn final_flush_traced(g: &mut FlowGraph, tracer: &Tracer) -> FlushStats {
-    final_flush_observed(g, tracer, &ProvRecorder::disabled(), 1)
-}
-
-/// As [`final_flush_traced`], with provenance capture: every instance
-/// removal, initialization insertion and reconstruction appends one
-/// [`am_obs::ProvRecord`] to `recorder`. A disabled recorder costs one
-/// branch per potential record. `workers` threads solve the two flush
-/// systems on large graphs (1 = serial).
+/// As [`final_flush`], observed: emits one `analysis` counter per solved
+/// system (`delayability`, `usability`) with its fixpoint metrics to
+/// `tracer`, and appends one [`am_obs::ProvRecord`] per instance removal,
+/// initialization insertion and reconstruction to `recorder`. A disabled
+/// recorder costs one branch per potential record.
 pub fn final_flush_observed(
     g: &mut FlowGraph,
     tracer: &Tracer,
     recorder: &ProvRecorder,
-    workers: usize,
 ) -> FlushStats {
-    let facts = FlushFacts::solve(g, workers);
+    let facts = FlushFacts::solve(g);
     for (name, sol) in [("delayability", &facts.delay), ("usability", &facts.usable)] {
         tracer.counter(
             "analysis",

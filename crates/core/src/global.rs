@@ -53,12 +53,6 @@ pub struct GlobalConfig {
     /// transformation (`amopt --explain`); disabled (one branch per
     /// potential record) by default.
     pub recorder: ProvRecorder,
-    /// Worker threads for the data-flow solves inside one optimization
-    /// (the point-partitioned parallel solver). The default of 1 keeps
-    /// everything serial — the right choice when many programs are already
-    /// optimized in parallel (the batch pipeline, `amserve`); raise it for
-    /// single very large programs. Results are identical for every value.
-    pub solver_workers: usize,
 }
 
 impl Default for GlobalConfig {
@@ -68,7 +62,6 @@ impl Default for GlobalConfig {
             keep_snapshots: true,
             tracer: Tracer::disabled(),
             recorder: ProvRecorder::disabled(),
-            solver_workers: 1,
         }
     }
 }
@@ -219,17 +212,11 @@ pub fn optimize_hooked(
         tracer,
         &config.recorder,
         &mut |round, g| hook(PhaseId::MotionRound(round), g),
-        config.solver_workers,
     );
     timings.motion = span.end();
     let after_motion = config.keep_snapshots.then(|| program.clone());
     let span = tracer.span("phase", "flush");
-    let flush = final_flush_observed(
-        &mut program,
-        tracer,
-        &config.recorder,
-        config.solver_workers,
-    );
+    let flush = final_flush_observed(&mut program, tracer, &config.recorder);
     timings.flush = span.end();
     hook(PhaseId::Flush, &mut program);
     root.arg("rounds", motion.rounds as i64)

@@ -29,12 +29,16 @@
 //! The transformation inserts an instance of every pattern at its insertion
 //! points and simultaneously removes all hoisting candidates. Patterns
 //! inserted at the same point are mutually independent (Sec. 4.3.2), so they
-//! are emitted in pattern-index order.
+//! are emitted in first-occurrence order — the pattern-index order of a
+//! universe collected from the program.
 
 use am_bitset::BitSet;
-use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Problem, Schedule};
+use am_dfa::{solve, Confluence, Direction, PatternMasks, Problem, Schedule, Seed};
 use am_ir::{AssignPattern, FlowGraph, Instr, NodeId, PatternUniverse};
+use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 use am_trace::Tracer;
+
+use crate::incremental::MotionContext;
 
 /// The solved hoistability analysis of a program.
 pub struct HoistAnalysis {
@@ -86,11 +90,12 @@ pub fn analyze_hoisting(g: &FlowGraph) -> HoistAnalysis {
     let mut problem = Problem::new(Direction::Backward, Confluence::Must, nodes, ap);
     problem.gen = loc_hoistable.clone();
     problem.kill = loc_blocked.clone();
-    let sol = solve_scheduled(&succs, &preds, &problem, &schedule);
+    let sol = solve(&succs, &preds, &schedule, &problem, Seed::cold());
     let n_hoistable = sol.before;
     let x_hoistable = sol.after;
 
-    let (n_insert, x_insert) = insertion_points(g, &n_hoistable, &x_hoistable, &loc_blocked, ap);
+    let (n_insert, x_insert) =
+        insertion_points(g, &n_hoistable, &x_hoistable, &loc_blocked, ap, None);
 
     HoistAnalysis {
         universe,
@@ -145,21 +150,12 @@ pub(crate) fn block_locals(
 /// The insertion points of the greatest solution: `N-INSERT` at the
 /// earliestness frontier (start node, or predecessors where hoisting
 /// stops), `X-INSERT` where the block's own code blocks the pattern.
-pub(crate) fn insertion_points(
-    g: &FlowGraph,
-    n_hoistable: &[BitSet],
-    x_hoistable: &[BitSet],
-    loc_blocked: &[BitSet],
-    ap: usize,
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    insertion_points_reusing(g, n_hoistable, x_hoistable, loc_blocked, ap, None)
-}
-
-/// As [`insertion_points`], recycling previously returned tables. The
+///
+/// `recycled` tables from an earlier call are reused when given. The
 /// frontier `Σ ¬X-HOISTABLE*` is computed as `¬ Π X-HOISTABLE*`
 /// (De Morgan), so the whole pass runs with one reused scratch set instead
 /// of an allocation per predecessor.
-pub(crate) fn insertion_points_reusing(
+pub(crate) fn insertion_points(
     g: &FlowGraph,
     n_hoistable: &[BitSet],
     x_hoistable: &[BitSet],
@@ -223,96 +219,187 @@ pub struct HoistOutcome {
 }
 
 /// Applies the Insertion Step of Sec. 4.3.2: inserts every pattern at its
-/// insertion points and removes all hoisting candidates.
+/// insertion points and removes all hoisting candidates — one hoisting
+/// pass of the motion phase, run with a fresh context.
 ///
 /// A single pass is not idempotent in general — hoisting exposes new
 /// redundancies and further hoists (the second-order effects of Sec. 4.3);
 /// [`assignment_motion`](crate::motion::assignment_motion) iterates it
 /// against redundancy elimination until the program stabilizes.
 pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
-    hoist_assignments_traced(g, &Tracer::disabled())
+    let recorder = ProvRecorder::disabled();
+    MotionContext::new(g).hoist_round(g, &Tracer::disabled(), None, &recorder, 0)
 }
 
-/// As [`hoist_assignments`], with tracing: wraps the pass in an
-/// `analysis/aht` span and emits a counter with the solver's fixpoint
-/// metrics.
-pub fn hoist_assignments_traced(g: &mut FlowGraph, tracer: &Tracer) -> HoistOutcome {
-    let mut span = tracer.span("analysis", "aht");
-    let analysis = analyze_hoisting(g);
-    tracer.counter(
-        "analysis",
-        "aht",
-        &[
-            ("iterations", analysis.iterations as i64),
-            ("worklist_pushes", analysis.worklist_pushes as i64),
-            ("max_worklist_len", analysis.max_worklist_len as i64),
-        ],
-    );
-    let outcome = apply_insertion_step(g, &analysis);
-    span.arg("inserted", outcome.inserted as i64)
-        .arg("removed", outcome.removed as i64);
-    outcome
+impl HoistAnalysis {
+    /// Applies the insertion step of pattern `i` alone to `g`, the
+    /// analyzed program: one admissible hoisting of Sec. 3.1, used by the
+    /// restricted baseline and the universe enumeration. The insertion
+    /// tables and candidates are masked to `i`.
+    pub(crate) fn hoist_one(&self, g: &mut FlowGraph, i: usize) -> HoistOutcome {
+        let only_i = |rows: &[BitSet]| -> Vec<BitSet> {
+            rows.iter()
+                .map(|row| {
+                    let mut masked = BitSet::new(row.len());
+                    if row.contains(i) {
+                        masked.insert(i);
+                    }
+                    masked
+                })
+                .collect()
+        };
+        let candidates: Vec<Vec<(usize, usize)>> = self
+            .candidates
+            .iter()
+            .map(|c| c.iter().copied().filter(|&(p, _)| p == i).collect())
+            .collect();
+        let occ_rank = occurrence_ranks_in(g, &self.universe).expect("universe collected from g");
+        apply_ordered(
+            g,
+            &self.universe,
+            &only_i(&self.n_insert),
+            &only_i(&self.x_insert),
+            &candidates,
+            &occ_rank,
+            &ProvRecorder::disabled(),
+            0,
+        )
+    }
 }
 
-/// Applies the insertion/removal step for a previously computed analysis,
-/// optionally restricted to a subset of patterns (used by the restricted
-/// baseline of Fig. 8/9).
-pub(crate) fn apply_insertion_step_filtered(
+/// Applies the insertion/removal step of the given tables. Insertions are
+/// filtered to patterns that occur in the program and emitted in
+/// first-occurrence order (`occ_rank`, see [`occurrence_ranks_in`]) —
+/// exactly the pattern set and bit order a universe collected fresh from
+/// `g` would produce, so a motion context may keep a grown universe across
+/// rounds. Every insertion and removal is recorded to `recorder`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_ordered(
     g: &mut FlowGraph,
-    analysis: &HoistAnalysis,
-    keep: impl Fn(usize) -> bool,
+    universe: &PatternUniverse,
+    n_insert: &[BitSet],
+    x_insert: &[BitSet],
+    candidates: &[Vec<(usize, usize)>],
+    occ_rank: &[Option<u32>],
+    recorder: &ProvRecorder,
+    round: u32,
 ) -> HoistOutcome {
-    let mut outcome = HoistOutcome {
-        iterations: analysis.iterations,
-        worklist_pushes: analysis.worklist_pushes,
-        max_worklist_len: analysis.max_worklist_len,
-        ..HoistOutcome::default()
-    };
+    let mut outcome = HoistOutcome::default();
     for n in g.nodes().collect::<Vec<_>>() {
         let ni = n.index();
+        if n_insert[ni].is_empty() && x_insert[ni].is_empty() && candidates[ni].is_empty() {
+            continue;
+        }
+        let observe =
+            |g: &FlowGraph, kind: ProvKind, index, instr: &Instr, pattern: usize, fact: &str| {
+                recorder.record(ProvRecord {
+                    kind,
+                    phase: "motion",
+                    round,
+                    node: g.label(n).to_owned(),
+                    index,
+                    instr: instr.display(g.pool()),
+                    new_instr: None,
+                    pattern: Some(pattern as u32),
+                    instr_id: None,
+                    justification: fact.to_owned(),
+                });
+            };
         let mut fresh: Vec<Instr> = Vec::new();
-        for i in analysis.n_insert[ni].iter().filter(|&i| keep(i)) {
-            let pat = analysis.universe.assign(i);
-            fresh.push(Instr::Assign {
+        for i in occurring_in_order(&n_insert[ni], occ_rank) {
+            let pat = universe.assign(i);
+            let instr = Instr::Assign {
                 lhs: pat.lhs,
                 rhs: pat.rhs,
-            });
+            };
+            if recorder.is_enabled() {
+                observe(
+                    g,
+                    ProvKind::HoistInsert,
+                    None,
+                    &instr,
+                    i,
+                    "N-INSERT: hoistable at entry, not hoistable out of some predecessor",
+                );
+            }
+            fresh.push(instr);
             outcome.inserted += 1;
         }
-        let removed_here: Vec<usize> = analysis.candidates[ni]
-            .iter()
-            .filter(|(pat, _)| keep(*pat))
-            .map(|(_, idx)| *idx)
-            .collect();
+        let removed_here: Vec<usize> = candidates[ni].iter().map(|(_, idx)| *idx).collect();
         for (idx, instr) in g.block(n).instrs.iter().enumerate() {
             if removed_here.contains(&idx) {
+                if recorder.is_enabled() {
+                    let (pattern, _) = candidates[ni][removed_here
+                        .iter()
+                        .position(|&r| r == idx)
+                        .expect("idx came from removed_here")];
+                    observe(
+                        g,
+                        ProvKind::HoistRemove,
+                        Some(idx as u32),
+                        instr,
+                        pattern,
+                        "first unblocked occurrence in its block, covered by hoisted instances",
+                    );
+                }
                 outcome.removed += 1;
             } else {
                 fresh.push(instr.clone());
             }
         }
-        for i in analysis.x_insert[ni].iter().filter(|&i| keep(i)) {
-            let pat = analysis.universe.assign(i);
-            fresh.push(Instr::Assign {
+        for i in occurring_in_order(&x_insert[ni], occ_rank) {
+            let pat = universe.assign(i);
+            let instr = Instr::Assign {
                 lhs: pat.lhs,
                 rhs: pat.rhs,
-            });
+            };
+            if recorder.is_enabled() {
+                observe(
+                    g,
+                    ProvKind::HoistInsert,
+                    None,
+                    &instr,
+                    i,
+                    "X-INSERT: hoistable at exit, blocked from entering this block",
+                );
+            }
+            fresh.push(instr);
             outcome.inserted += 1;
         }
-        if *g.block(n)
-            != (am_ir::Block {
-                instrs: fresh.clone(),
-            })
-        {
+        if g.block(n).instrs != fresh {
             outcome.changed = true;
+            g.block_mut(n).instrs = fresh;
         }
-        g.block_mut(n).instrs = fresh;
     }
     outcome
 }
 
-fn apply_insertion_step(g: &mut FlowGraph, analysis: &HoistAnalysis) -> HoistOutcome {
-    apply_insertion_step_filtered(g, analysis, |_| true)
+/// The patterns of `set` that occur in the current program, ordered by
+/// first occurrence.
+fn occurring_in_order(set: &BitSet, occ_rank: &[Option<u32>]) -> Vec<usize> {
+    let mut patterns: Vec<usize> = set.iter().filter(|&i| occ_rank[i].is_some()).collect();
+    patterns.sort_by_key(|&i| occ_rank[i]);
+    patterns
+}
+
+/// First-occurrence ranks over `universe`, or `None` if the program
+/// contains an assignment pattern the universe does not know.
+pub(crate) fn occurrence_ranks_in(
+    g: &FlowGraph,
+    universe: &PatternUniverse,
+) -> Option<Vec<Option<u32>>> {
+    let mut ranks: Vec<Option<u32>> = vec![None; universe.assign_count()];
+    let mut next = 0u32;
+    for (_, instr) in g.locs() {
+        if let Instr::Assign { lhs, rhs } = instr {
+            let i = universe.assign_id(&AssignPattern::new(*lhs, *rhs))?;
+            if ranks[i].is_none() {
+                ranks[i] = Some(next);
+                next += 1;
+            }
+        }
+    }
+    Some(ranks)
 }
 
 /// Convenience for tests: the `N-INSERT` patterns of node `n`, displayed.

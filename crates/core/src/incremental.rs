@@ -33,7 +33,7 @@
 //! * **Previous hoist system** — when a round's Table 1 rows changed only
 //!   monotonically downward (candidates lost, blockades gained), the
 //!   backward must system is re-solved from the previous greatest solution
-//!   with only the dirty nodes seeded ([`am_dfa::solve_seeded`]); the old
+//!   with only the dirty nodes seeded ([`am_dfa::Seed::warm`]); the old
 //!   solution is a post-fixed point of the lowered system, so the descent
 //!   reaches the new greatest fixed point. Non-monotone changes fall back
 //!   to a cold scheduled solve. A round whose hoist input is byte-identical
@@ -45,15 +45,17 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use am_bitset::BitSet;
 use am_dfa::{
-    node_adjacency, solve_partitioned, solve_scheduled_reusing, solve_seeded_reusing, Adjacency,
-    Confluence, Direction, PatternMasks, Problem, Schedule, Solution,
+    node_adjacency, solve, Adjacency, Confluence, Direction, PatternMasks, Problem, Schedule, Seed,
+    Solution,
 };
 use am_ir::intern::{InstrId, InstrInterner};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 use am_trace::Tracer;
 
-use crate::hoist::{block_locals, insertion_points_reusing, HoistOutcome};
+use crate::hoist::{
+    apply_ordered, block_locals, insertion_points, occurrence_ranks_in, HoistOutcome,
+};
 use crate::rae::{redundancy_row, remove_locs, RaeOutcome};
 
 /// Multiply-rotate hasher in the FxHash family. The row caches hash every
@@ -199,10 +201,6 @@ pub(crate) struct MotionContext {
     last_hoist: Option<(u64, bool)>,
     /// `(graph revision, content hash)` memo for [`Self::content_hash`].
     content_memo: Option<(u64, u64)>,
-    /// Worker threads for cold solves. Cold solves over large point sets
-    /// dispatch to the partitioned parallel solver; warm restarts stay
-    /// serial (their dirty sets are tiny by construction).
-    workers: usize,
     rows_reused: u64,
     rows_recomputed: u64,
     hoist_skipped: u64,
@@ -210,9 +208,9 @@ pub(crate) struct MotionContext {
 }
 
 impl MotionContext {
-    /// Builds the context for a motion run over `g`, solving cold systems
-    /// on `workers` threads (1 = fully serial).
-    pub(crate) fn new(g: &FlowGraph, workers: usize) -> Self {
+    /// Builds the context for a motion run over `g`. A fresh context also
+    /// serves the one-shot passes ([`crate::rae`], [`crate::hoist`]).
+    pub(crate) fn new(g: &FlowGraph) -> Self {
         let universe = PatternUniverse::collect(g);
         let masks = PatternMasks::build(&universe, g.pool().len());
         MotionContext {
@@ -233,7 +231,6 @@ impl MotionContext {
             block_keys: Vec::new(),
             last_hoist: None,
             content_memo: None,
-            workers: workers.max(1),
             rows_reused: 0,
             rows_recomputed: 0,
             hoist_skipped: 0,
@@ -359,7 +356,35 @@ impl MotionContext {
         (*own, kill)
     }
 
-    /// One redundant-assignment-elimination pass with cached rows.
+    /// One redundant-assignment-elimination pass with cached rows: removes
+    /// every occurrence [`Self::redundant_locs`] finds.
+    pub(crate) fn rae_round(
+        &mut self,
+        g: &mut FlowGraph,
+        tracer: &Tracer,
+        recorder: &ProvRecorder,
+        round: u32,
+    ) -> RaeOutcome {
+        let mut span = tracer.span("analysis", "rae");
+        let (locs, mut outcome) = self.redundant_locs(g, recorder, round);
+        outcome.eliminated = locs.len();
+        remove_locs(g, &locs);
+        tracer.counter(
+            "analysis",
+            "rae",
+            &[
+                ("iterations", outcome.iterations as i64),
+                ("worklist_pushes", outcome.worklist_pushes as i64),
+                ("max_worklist_len", outcome.max_worklist_len as i64),
+            ],
+        );
+        span.arg("eliminated", outcome.eliminated as i64);
+        outcome
+    }
+
+    /// The assignment occurrences of `g` that are redundant at their entry
+    /// (Def. 3.4), in program order, with the solver metrics of the
+    /// analysis (`eliminated` is left 0).
     ///
     /// The Table 2 system is solved at **node level**: each block's
     /// per-instruction gen/kill rows are composed into one transfer
@@ -371,14 +396,12 @@ impl MotionContext {
     /// shrinks the solved system by the average block length (≈5×) and
     /// turns the per-point fact recovery into a sequential scan — the
     /// instruction-level `PointGraph` is no longer built per round at all.
-    pub(crate) fn rae_round(
+    pub(crate) fn redundant_locs(
         &mut self,
-        g: &mut FlowGraph,
-        tracer: &Tracer,
+        g: &FlowGraph,
         recorder: &ProvRecorder,
         round: u32,
-    ) -> RaeOutcome {
-        let mut span = tracer.span("analysis", "rae");
+    ) -> (Vec<Loc>, RaeOutcome) {
         let nodes = g.node_count();
         // Intern every instruction once: the id vectors key the block-row
         // cache and the pass doubles as the staleness scan.
@@ -457,14 +480,8 @@ impl MotionContext {
             });
         }
         let ns = self.node_system.as_ref().expect("node system built above");
-        let sol = solve_cold_reusing(
-            &ns.succs,
-            &ns.preds,
-            &problem,
-            &ns.schedule,
-            self.workers,
-            self.rae_solution.take(),
-        );
+        let seed = Seed::cold().reusing(self.rae_solution.take());
+        let sol = solve(&ns.succs, &ns.preds, &ns.schedule, &problem, seed);
         // Recover per-instruction entry facts by streaming each block's
         // transfer from its solved entry set; an occurrence whose own bit
         // holds at its entry is redundant (Def. 3.4). Applying the transfer
@@ -514,27 +531,14 @@ impl MotionContext {
         // Detach the problem, key and fact buffers for the next round.
         self.rae_problem = Some(problem);
         self.block_keys = keys;
-        let (iterations, worklist_pushes, max_worklist_len) =
-            (sol.iterations, sol.worklist_pushes, sol.max_worklist_len);
+        let outcome = RaeOutcome {
+            eliminated: 0,
+            iterations: sol.iterations,
+            worklist_pushes: sol.worklist_pushes,
+            max_worklist_len: sol.max_worklist_len,
+        };
         self.rae_solution = Some(sol);
-        let eliminated = locs.len();
-        remove_locs(g, &locs);
-        tracer.counter(
-            "analysis",
-            "rae",
-            &[
-                ("iterations", iterations as i64),
-                ("worklist_pushes", worklist_pushes as i64),
-                ("max_worklist_len", max_worklist_len as i64),
-            ],
-        );
-        span.arg("eliminated", eliminated as i64);
-        RaeOutcome {
-            eliminated,
-            iterations,
-            worklist_pushes,
-            max_worklist_len,
-        }
+        (locs, outcome)
     }
 
     /// One hoisting pass with cached block locals, schedule reuse, the
@@ -647,23 +651,16 @@ impl MotionContext {
             });
             lowered.then_some(dirty)
         });
-        let recycled = self.hoist_solution.take();
-        let sol = match warm {
+        let seed = match &warm {
             Some(dirty) => {
                 self.hoist_warm += 1;
                 let prev = self.prev_hoist.as_ref().expect("warm implies prev");
-                solve_seeded_reusing(
-                    succs,
-                    preds,
-                    &problem,
-                    schedule,
-                    &prev.solution,
-                    &dirty,
-                    recycled,
-                )
+                Seed::warm(&prev.solution, dirty)
             }
-            None => solve_cold_reusing(succs, preds, &problem, schedule, self.workers, recycled),
+            None => Seed::cold(),
         };
+        let seed = seed.reusing(self.hoist_solution.take());
+        let sol = solve(succs, preds, schedule, &problem, seed);
         tracer.counter(
             "analysis",
             "aht",
@@ -674,7 +671,7 @@ impl MotionContext {
             ],
         );
 
-        let (n_insert, x_insert) = insertion_points_reusing(
+        let (n_insert, x_insert) = insertion_points(
             g,
             &sol.before,
             &sol.after,
@@ -737,157 +734,6 @@ impl MotionContext {
         self.rows_recomputed = 0;
         self.hoist_skipped = 0;
         self.hoist_warm = 0;
-    }
-}
-
-/// Applies the insertion/removal step using the fixed universe: insertions
-/// are filtered to patterns that still occur in the program and emitted in
-/// first-occurrence order — exactly the pattern set and bit order a
-/// universe collected fresh from `g` would produce.
-#[allow(clippy::too_many_arguments)]
-fn apply_ordered(
-    g: &mut FlowGraph,
-    universe: &PatternUniverse,
-    n_insert: &[BitSet],
-    x_insert: &[BitSet],
-    candidates: &[Vec<(usize, usize)>],
-    occ_rank: &[Option<u32>],
-    recorder: &ProvRecorder,
-    round: u32,
-) -> HoistOutcome {
-    let mut outcome = HoistOutcome::default();
-    for n in g.nodes().collect::<Vec<_>>() {
-        let ni = n.index();
-        if n_insert[ni].is_empty() && x_insert[ni].is_empty() && candidates[ni].is_empty() {
-            continue;
-        }
-        let observe =
-            |g: &FlowGraph, kind: ProvKind, index, instr: &Instr, pattern: usize, fact: &str| {
-                recorder.record(ProvRecord {
-                    kind,
-                    phase: "motion",
-                    round,
-                    node: g.label(n).to_owned(),
-                    index,
-                    instr: instr.display(g.pool()),
-                    new_instr: None,
-                    pattern: Some(pattern as u32),
-                    instr_id: None,
-                    justification: fact.to_owned(),
-                });
-            };
-        let mut fresh: Vec<Instr> = Vec::new();
-        for i in occurring_in_order(&n_insert[ni], occ_rank) {
-            let pat = universe.assign(i);
-            let instr = Instr::Assign {
-                lhs: pat.lhs,
-                rhs: pat.rhs,
-            };
-            if recorder.is_enabled() {
-                observe(
-                    g,
-                    ProvKind::HoistInsert,
-                    None,
-                    &instr,
-                    i,
-                    "N-INSERT: hoistable at entry, not hoistable out of some predecessor",
-                );
-            }
-            fresh.push(instr);
-            outcome.inserted += 1;
-        }
-        let removed_here: Vec<usize> = candidates[ni].iter().map(|(_, idx)| *idx).collect();
-        for (idx, instr) in g.block(n).instrs.iter().enumerate() {
-            if removed_here.contains(&idx) {
-                if recorder.is_enabled() {
-                    let (pattern, _) = candidates[ni][removed_here
-                        .iter()
-                        .position(|&r| r == idx)
-                        .expect("idx came from removed_here")];
-                    observe(
-                        g,
-                        ProvKind::HoistRemove,
-                        Some(idx as u32),
-                        instr,
-                        pattern,
-                        "first unblocked occurrence in its block, covered by hoisted instances",
-                    );
-                }
-                outcome.removed += 1;
-            } else {
-                fresh.push(instr.clone());
-            }
-        }
-        for i in occurring_in_order(&x_insert[ni], occ_rank) {
-            let pat = universe.assign(i);
-            let instr = Instr::Assign {
-                lhs: pat.lhs,
-                rhs: pat.rhs,
-            };
-            if recorder.is_enabled() {
-                observe(
-                    g,
-                    ProvKind::HoistInsert,
-                    None,
-                    &instr,
-                    i,
-                    "X-INSERT: hoistable at exit, blocked from entering this block",
-                );
-            }
-            fresh.push(instr);
-            outcome.inserted += 1;
-        }
-        if g.block(n).instrs != fresh {
-            outcome.changed = true;
-            g.block_mut(n).instrs = fresh;
-        }
-    }
-    outcome
-}
-
-/// The patterns of `set` that occur in the current program, ordered by
-/// first occurrence.
-fn occurring_in_order(set: &BitSet, occ_rank: &[Option<u32>]) -> Vec<usize> {
-    let mut patterns: Vec<usize> = set.iter().filter(|&i| occ_rank[i].is_some()).collect();
-    patterns.sort_by_key(|&i| occ_rank[i]);
-    patterns
-}
-
-/// First-occurrence ranks over `universe`, or `None` if the program
-/// contains an assignment pattern the universe does not know.
-fn occurrence_ranks_in(g: &FlowGraph, universe: &PatternUniverse) -> Option<Vec<Option<u32>>> {
-    let mut ranks: Vec<Option<u32>> = vec![None; universe.assign_count()];
-    let mut next = 0u32;
-    for (_, instr) in g.locs() {
-        if let Instr::Assign { lhs, rhs } = instr {
-            let i = universe.assign_id(&AssignPattern::new(*lhs, *rhs))?;
-            if ranks[i].is_none() {
-                ranks[i] = Some(next);
-                next += 1;
-            }
-        }
-    }
-    Some(ranks)
-}
-
-/// Cold-solve dispatch: partitioned parallel when more than one worker is
-/// configured, serial otherwise. The partitioned solver itself falls back
-/// to the serial path below its size threshold, so small graphs pay
-/// nothing; its converged facts are bit-identical to the serial solver's
-/// for any worker count. The serial path recycles detached fact buffers
-/// (the partitioned path allocates per partition and ignores them).
-fn solve_cold_reusing(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-    workers: usize,
-    recycled: Option<Solution>,
-) -> Solution {
-    if workers > 1 {
-        solve_partitioned(succs, preds, problem, schedule, workers)
-    } else {
-        solve_scheduled_reusing(succs, preds, problem, schedule, recycled)
     }
 }
 

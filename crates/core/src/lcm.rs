@@ -15,7 +15,7 @@
 //!   role of the isolation analysis.
 
 use am_bitset::BitSet;
-use am_dfa::{classic, solve, Confluence, Direction, PointGraph, Problem};
+use am_dfa::{classic, solve, Confluence, Direction, PointGraph, Problem, Seed};
 use am_ir::{Cond, FlowGraph, Instr, PatternUniverse, Term, Var};
 
 use crate::flush::{final_flush, FlushStats};
@@ -105,7 +105,13 @@ pub fn busy_expression_motion(g: &mut FlowGraph) -> EmStats {
             }
         }
     }
-    let avail = solve(pg.succs(), pg.preds(), &avail_problem);
+    let avail = solve(
+        pg.succs(),
+        pg.preds(),
+        pg.schedule(),
+        &avail_problem,
+        Seed::cold(),
+    );
 
     // Earliest points: anticipated but not yet available'. Placement is
     // edge-precise: at a join, only the predecessors lacking availability

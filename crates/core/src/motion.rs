@@ -138,7 +138,6 @@ pub fn assignment_motion_traced(
         tracer,
         &ProvRecorder::disabled(),
         hook,
-        1,
     )
 }
 
@@ -146,10 +145,7 @@ pub fn assignment_motion_traced(
 /// elimination, hoist insertion and hoist removal appends one
 /// [`am_obs::ProvRecord`] to `recorder`, keyed by node, instruction text,
 /// pattern bit and round. A disabled recorder costs one branch per
-/// potential record. `workers` threads solve each round's cold data-flow
-/// systems on large graphs (1 = fully serial); the converged facts — and
-/// thus the optimized program — are identical for every worker count.
-#[allow(clippy::too_many_arguments)]
+/// potential record.
 pub fn assignment_motion_observed(
     g: &mut FlowGraph,
     max_rounds: usize,
@@ -157,9 +153,8 @@ pub fn assignment_motion_observed(
     tracer: &Tracer,
     recorder: &ProvRecorder,
     hook: &mut dyn FnMut(usize, &mut FlowGraph),
-    workers: usize,
 ) -> MotionStats {
-    let mut ctx = MotionContext::new(g, workers);
+    let mut ctx = MotionContext::new(g);
     let mut stats = MotionStats::default();
     for round in 1..=max_rounds {
         let name = if tracer.enabled() {

@@ -18,11 +18,21 @@
 //! entry; removing them simultaneously is sound because each occurrence's
 //! redundancy is justified by *earlier* occurrences, which the elimination
 //! keeps.
+//!
+//! The system is solved at node level: each block's instruction rows are
+//! composed into one transfer, the fixed point runs over the block graph,
+//! and the per-instruction entry facts are streamed back out of each block
+//! — the same pass every round of [`crate::motion`] runs. Interior points
+//! of a block have a single predecessor, so this is exact; the test suite
+//! holds it against the instruction-level statement above.
 
 use am_bitset::BitSet;
-use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, PointGraph, Problem, Solution};
+use am_dfa::PatternMasks;
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, PatternUniverse};
+use am_obs::ProvRecorder;
 use am_trace::Tracer;
+
+use crate::incremental::MotionContext;
 
 /// Outcome of one [`eliminate_redundant_assignments`] pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -35,44 +45,6 @@ pub struct RaeOutcome {
     pub worklist_pushes: u64,
     /// Peak solver worklist length.
     pub max_worklist_len: usize,
-}
-
-/// Solves the redundancy analysis of Table 2 over `g`.
-///
-/// The returned solution is indexed by the points of `pg`; bit `i` of a set
-/// refers to assignment pattern `i` of `universe`. Self-referential
-/// patterns never appear in any set.
-pub fn redundancy(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
-    let masks = PatternMasks::build(universe, pg.graph().pool().len());
-    redundancy_with(pg, universe, &masks)
-}
-
-/// As [`redundancy`], with a prebuilt pattern-mask index (the motion loop
-/// builds the masks once and reuses them across all rounds).
-pub fn redundancy_with(
-    pg: &PointGraph<'_>,
-    universe: &PatternUniverse,
-    masks: &PatternMasks,
-) -> Solution {
-    let n = pg.len();
-    let mut p = Problem::new(
-        Direction::Forward,
-        Confluence::Must,
-        n,
-        universe.assign_count(),
-    );
-    for point in pg.points() {
-        let Some(instr) = pg.instr(point) else {
-            continue;
-        };
-        let idx = point.index();
-        let (gen, kill) = redundancy_row(instr, universe, masks);
-        if let Some(i) = gen {
-            p.gen[idx].insert(i);
-        }
-        p.kill[idx] = kill;
-    }
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
 }
 
 /// The Table 2 gen/kill row of a single instruction, built from the mask
@@ -102,42 +74,17 @@ pub(crate) fn redundancy_row(
     (gen, kill)
 }
 
-/// The set of instruction locations whose assignment is redundant at entry.
+/// The instruction locations whose assignment is redundant at entry, in
+/// program order, and the solver iterations spent finding them. The same
+/// node-level analysis as one round of the motion phase.
 pub fn redundant_locs(g: &FlowGraph) -> (Vec<Loc>, u64) {
-    let (locs, sol) = redundant_locs_solved(g);
-    (locs, sol.iterations)
-}
-
-/// As [`redundant_locs`], but returns the full solution so callers can
-/// report worklist metrics too.
-fn redundant_locs_solved(g: &FlowGraph) -> (Vec<Loc>, Solution) {
-    let universe = PatternUniverse::collect(g);
-    let pg = PointGraph::build(g);
-    let sol = redundancy(&pg, &universe);
-    let mut locs = Vec::new();
-    for point in pg.points() {
-        let Some(instr) = pg.instr(point) else {
-            continue;
-        };
-        let Some(loc) = pg.loc(point) else { continue };
-        if let am_ir::Instr::Assign { lhs, rhs } = instr {
-            let pat = am_ir::AssignPattern::new(*lhs, *rhs);
-            if pat.is_self_referential() {
-                continue;
-            }
-            if let Some(i) = universe.assign_id(&pat) {
-                let before: &BitSet = &sol.before[point.index()];
-                if before.contains(i) {
-                    locs.push(loc);
-                }
-            }
-        }
-    }
-    (locs, sol)
+    let (locs, outcome) = MotionContext::new(g).redundant_locs(g, &ProvRecorder::disabled(), 0);
+    (locs, outcome.iterations)
 }
 
 /// Removes every redundant assignment occurrence from `g` (the Elimination
-/// Step of Sec. 4.3.1).
+/// Step of Sec. 4.3.1) — one elimination pass of the motion phase, run
+/// with a fresh context.
 /// # Examples
 ///
 /// ```
@@ -152,34 +99,8 @@ fn redundant_locs_solved(g: &FlowGraph) -> (Vec<Loc>, Solution) {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn eliminate_redundant_assignments(g: &mut FlowGraph) -> RaeOutcome {
-    eliminate_redundant_assignments_traced(g, &Tracer::disabled())
-}
-
-/// As [`eliminate_redundant_assignments`], with tracing: wraps the pass in
-/// an `analysis/rae` span and emits a counter with the solver's fixpoint
-/// metrics.
-pub fn eliminate_redundant_assignments_traced(g: &mut FlowGraph, tracer: &Tracer) -> RaeOutcome {
-    let mut span = tracer.span("analysis", "rae");
-    let (locs, sol) = redundant_locs_solved(g);
-    let eliminated = locs.len();
-    remove_locs(g, &locs);
-    tracer.counter(
-        "analysis",
-        "rae",
-        &[
-            ("iterations", sol.iterations as i64),
-            ("worklist_pushes", sol.worklist_pushes as i64),
-            ("max_worklist_len", sol.max_worklist_len as i64),
-        ],
-    );
-    span.arg("eliminated", eliminated as i64);
-    drop(span);
-    RaeOutcome {
-        eliminated,
-        iterations: sol.iterations,
-        worklist_pushes: sol.worklist_pushes,
-        max_worklist_len: sol.max_worklist_len,
-    }
+    let recorder = ProvRecorder::disabled();
+    MotionContext::new(g).rae_round(g, &Tracer::disabled(), &recorder, 0)
 }
 
 /// Removes the instructions at `locs` from `g`. Locations must refer to the
@@ -239,6 +160,18 @@ mod tests {
     fn intervening_write_blocks_elimination() {
         let mut g = parse(
             "start 1\nend 2\nnode 1 { x := a+b; a := 1; x := a+b }\nnode 2 { out(x) }\nedge 1 -> 2",
+        )
+        .unwrap();
+        let out = eliminate_redundant_assignments(&mut g);
+        assert_eq!(out.eliminated, 0);
+    }
+
+    #[test]
+    fn self_referential_write_blocks_elimination() {
+        // i := i+1 has no pattern bit of its own but still kills every
+        // pattern that reads or writes i.
+        let mut g = parse(
+            "start 1\nend 2\nnode 1 { x := i+a; i := i+1; x := i+a }\nnode 2 { out(x,i) }\nedge 1 -> 2",
         )
         .unwrap();
         let out = eliminate_redundant_assignments(&mut g);

@@ -27,7 +27,7 @@
 //! must keep such assignments alive.
 
 use am_bitset::BitSet;
-use am_dfa::{solve, Confluence, Direction, PointGraph, Problem};
+use am_dfa::{solve, Confluence, Direction, PointGraph, Problem, Seed};
 use am_ir::{FlowGraph, Instr, PatternUniverse, Term};
 
 /// Configuration for [`sink_assignments`].
@@ -116,7 +116,13 @@ pub fn sink_assignments(g: &mut FlowGraph, config: &SinkConfig) -> SinkStats {
     let mut problem = Problem::new(Direction::Forward, Confluence::Must, points, ap);
     problem.gen = occurrence.clone();
     problem.kill = blocked_at.clone();
-    let sink = solve(pg.succs(), pg.preds(), &problem);
+    let sink = solve(
+        pg.succs(),
+        pg.preds(),
+        pg.schedule(),
+        &problem,
+        Seed::cold(),
+    );
     stats.iterations = sink.iterations;
 
     // Latest points. An instance arriving at a blocked instruction is

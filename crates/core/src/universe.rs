@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use am_ir::alpha::canonical_text;
 use am_ir::FlowGraph;
 
-use crate::hoist::{analyze_hoisting, apply_insertion_step_filtered};
+use crate::hoist::analyze_hoisting;
 use crate::rae::{redundant_locs, remove_locs};
 
 /// Limits for [`explore`].
@@ -71,8 +71,7 @@ pub fn successors(g: &FlowGraph) -> Vec<FlowGraph> {
     let analysis = analyze_hoisting(g);
     for i in 0..analysis.universe.assign_count() {
         let mut next = g.clone();
-        let outcome = apply_insertion_step_filtered(&mut next, &analysis, |p| p == i);
-        if outcome.changed {
+        if analysis.hoist_one(&mut next, i).changed {
             out.push(next);
         }
     }

@@ -1,26 +1,32 @@
-//! The node-level flush against the instruction-level reference.
+//! The node-level optimizer passes against the instruction-level
+//! references.
 //!
-//! `am_core::flush` solves Table 3 over composed block transfers and
-//! recovers the per-instruction facts block by block; `support` solves it
-//! point by point, the way the paper states it. Both must agree on every
-//! recovered fact of every point — `N-DELAYABLE*`, `X-DELAYABLE*`,
-//! `N-USABLE*`, `X-USABLE*` and `X-LATEST` — and on the flushed program,
-//! for any solver worker count.
+//! `am_core::rae` (Table 2) and `am_core::flush` (Table 3) solve their
+//! systems over composed block transfers and recover the per-instruction
+//! facts block by block; `support` solves them point by point, the way the
+//! paper states them. They must agree:
+//!
+//! * **Table 2** — the occurrences the elimination removes are exactly the
+//!   ones whose own pattern holds in the reference `N-REDUNDANT*` at their
+//!   entry, and the eliminated programs are identical;
+//! * **Table 3** — every recovered fact of every point (`N-DELAYABLE*`,
+//!   `X-DELAYABLE*`, `N-USABLE*`, `X-USABLE*` and `X-LATEST`) and the
+//!   flushed program.
 
 mod support;
 
 use am_bench::workloads::{inlined_program, nest_grid, wide_fan};
 use am_bitset::BitSet;
-use am_core::flush::{final_flush_observed, BlockFacts, FlushFacts};
+use am_core::flush::{final_flush, BlockFacts, FlushFacts};
 use am_core::global::{optimize_with, GlobalConfig};
+use am_core::hoist::hoist_assignments;
 use am_core::init::initialize;
+use am_core::rae::{eliminate_redundant_assignments, redundant_locs};
 use am_dfa::PointGraph;
 use am_ir::random::{corpus80, structured, unstructured, StructuredConfig, UnstructuredConfig};
 use am_ir::rng::SplitMix64;
 use am_ir::text::to_text;
 use am_ir::FlowGraph;
-use am_obs::ProvRecorder;
-use am_trace::Tracer;
 
 /// The program the optimizer hands to the flush: `g` after edge
 /// splitting, initialization and assignment motion.
@@ -43,12 +49,41 @@ fn after_init(g: &FlowGraph) -> FlowGraph {
     g
 }
 
+/// Compares the node-level redundancy pass with the reference: the same
+/// redundant occurrences, the same eliminated program.
+fn check_rae(label: &str, g: &FlowGraph) {
+    let (expected_locs, _) = support::rae::redundant_locs_solved(g);
+    let (locs, _) = redundant_locs(g);
+    assert_eq!(locs, expected_locs, "{label}: redundant occurrences");
+    let (expected, count) = support::rae::reference_rae(g);
+    let mut eliminated = g.clone();
+    let outcome = eliminate_redundant_assignments(&mut eliminated);
+    assert_eq!(outcome.eliminated, count, "{label}");
+    assert_eq!(to_text(&eliminated), to_text(&expected), "{label}");
+}
+
+/// Runs [`check_rae`] on `g` after edge splitting only (the raw programs
+/// the restricted baseline and the universe enumeration eliminate in,
+/// self-referential assignments included), after initialization, and
+/// after initialization plus one hoisting pass (the hoisted instances make
+/// occurrences below them redundant).
+fn check_rae_stages(label: &str, g: &FlowGraph) {
+    let mut split = g.clone();
+    split.split_critical_edges();
+    let init = after_init(g);
+    let mut hoisted = init.clone();
+    hoist_assignments(&mut hoisted);
+    for (stage, input) in [("split", split), ("init", init), ("init+hoist", hoisted)] {
+        check_rae(&format!("{label} after {stage}"), &input);
+    }
+}
+
 /// Compares the recovered facts of every point with the reference.
 fn check_facts(label: &str, g: &FlowGraph) {
     let mut reference_graph = g.clone();
-    let reference = support::analyze_flush(&mut reference_graph);
+    let reference = support::flush::analyze_flush(&mut reference_graph);
     let mut node_graph = g.clone();
-    let facts = FlushFacts::solve(&mut node_graph, 1);
+    let facts = FlushFacts::solve(&mut node_graph);
     assert_eq!(to_text(&node_graph), to_text(&reference_graph), "{label}");
     assert_eq!(facts.temps(), reference.temps.as_slice(), "{label}");
     let ep = facts.universe().expr_count();
@@ -106,29 +141,21 @@ fn check_facts(label: &str, g: &FlowGraph) {
     }
 }
 
-/// Compares the flushed program and its statistics with the reference,
-/// serially and on the partitioned solver.
+/// Compares the flushed program and its statistics with the reference.
 fn check_output(label: &str, g: &FlowGraph) {
-    let (expected, counts) = support::reference_flush(g);
-    let expected = to_text(&expected);
-    for workers in [1, 4] {
-        let mut flushed = g.clone();
-        let stats = final_flush_observed(
-            &mut flushed,
-            &Tracer::disabled(),
-            &ProvRecorder::disabled(),
-            workers,
-        );
-        assert_eq!(to_text(&flushed), expected, "{label} (workers {workers})");
-        assert_eq!(
-            (stats.instances_removed, stats.inserted, stats.reconstructed),
-            counts,
-            "{label} (workers {workers})"
-        );
-    }
+    let (expected, counts) = support::flush::reference_flush(g);
+    let mut flushed = g.clone();
+    let stats = final_flush(&mut flushed);
+    assert_eq!(to_text(&flushed), to_text(&expected), "{label}");
+    assert_eq!(
+        (stats.instances_removed, stats.inserted, stats.reconstructed),
+        counts,
+        "{label}"
+    );
 }
 
 fn check(label: &str, g: &FlowGraph) {
+    check_rae_stages(label, g);
     for (stage, input) in [("init", after_init(g)), ("motion", after_motion(g))] {
         let label = format!("{label} after {stage}");
         check_facts(&label, &input);
@@ -221,6 +248,7 @@ fn matches_the_reference_on_the_smallest_xl_rungs() {
         ("xl fan b=3500", wide_fan(3500, 4)),
         ("xl inline c=1200", inlined_program(1200, 48)),
     ] {
+        check_rae_stages(name, &g);
         let input = after_motion(&g);
         check_facts(name, &input);
         check_output(name, &input);

@@ -102,7 +102,7 @@ fn table2_redundancy_on_the_initialized_example() {
     init::initialize(&mut g);
     let u = PatternUniverse::collect(&g);
     let pg = PointGraph::build(&g);
-    let sol = rae::redundancy(&pg, &u);
+    let sol = support::rae::redundancy(&pg, &u);
 
     // The pattern h<c+d> := c+d.
     let c = g.pool().lookup("c").unwrap();
@@ -136,7 +136,7 @@ fn table2_redundancy_on_the_initialized_example() {
         assert!(out.eliminated >= 1);
         let u2 = PatternUniverse::collect(&g2);
         let pg2 = PointGraph::build(&g2);
-        let sol2 = rae::redundancy(&pg2, &u2);
+        let sol2 = support::rae::redundancy(&pg2, &u2);
         let p_copy2 = u2.assign_id(&AssignPattern::new(y, h_cd)).unwrap();
         let n3_2 = node(&g2, "3");
         // y := h<c+d> is now the first instruction of node 3 and redundant.
@@ -234,7 +234,7 @@ fn table3_delayability_and_usability_on_g_assmot() {
     let g0 = parse(RUNNING_EXAMPLE).unwrap();
     let result = am_core::global::optimize(&g0);
     let mut g = result.after_motion.clone().unwrap();
-    let analysis = support::analyze_flush(&mut g);
+    let analysis = support::flush::analyze_flush(&mut g);
     let pg = PointGraph::build(&g);
 
     let find_instr = |needle: &str| -> am_dfa::PointId {

@@ -10,7 +10,7 @@ use am_ir::{AssignPattern, FlowGraph, Instr, PatternUniverse, Term, Var};
 
 use crate::masks::PatternMasks;
 use crate::points::{PointGraph, PointId};
-use crate::solve::{solve_scheduled, Confluence, Direction, Problem, Solution};
+use crate::solve::{solve, Confluence, Direction, Problem, Seed, Solution};
 
 /// Whether `instr` is transparent for expression `t`: it modifies no
 /// operand of `t`.
@@ -76,7 +76,7 @@ pub fn available_expressions_problem(pg: &PointGraph<'_>, universe: &PatternUniv
 /// greatest solution.
 pub fn available_expressions(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
     let p = available_expressions_problem(pg, universe);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve(pg.succs(), pg.preds(), pg.schedule(), &p, Seed::cold())
 }
 
 /// The [`anticipated_expressions`] problem.
@@ -89,7 +89,7 @@ pub fn anticipated_expressions_problem(pg: &PointGraph<'_>, universe: &PatternUn
 /// Backward, must, greatest solution.
 pub fn anticipated_expressions(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
     let p = anticipated_expressions_problem(pg, universe);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve(pg.succs(), pg.preds(), pg.schedule(), &p, Seed::cold())
 }
 
 /// Partially available expressions: expression `t` is partially available
@@ -106,7 +106,7 @@ pub fn partially_available_expressions(
     universe: &PatternUniverse,
 ) -> Solution {
     let p = partially_available_expressions_problem(pg, universe);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve(pg.succs(), pg.preds(), pg.schedule(), &p, Seed::cold())
 }
 
 /// The [`partially_available_expressions`] problem. An instruction that
@@ -211,7 +211,7 @@ pub fn strongly_live_variables(pg: &PointGraph<'_>) -> Solution {
 /// end reads `v` before writing it. Backward, may, least solution.
 pub fn live_variables(pg: &PointGraph<'_>) -> Solution {
     let p = live_variables_problem(pg);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve(pg.succs(), pg.preds(), pg.schedule(), &p, Seed::cold())
 }
 
 /// The [`live_variables`] problem.
@@ -243,7 +243,7 @@ pub fn live_variables_problem(pg: &PointGraph<'_>) -> Problem {
 /// assignment-pattern index).
 pub fn reaching_copies(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
     let p = reaching_copies_problem(pg, universe);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve(pg.succs(), pg.preds(), pg.schedule(), &p, Seed::cold())
 }
 
 /// The [`reaching_copies`] problem.

@@ -6,9 +6,12 @@
 //! * [`PointGraph`] — the instruction-level program-point view the paper
 //!   states Tables 2–3 in, used by the classic analyses and lints (the
 //!   optimizer solves at block level, see [`node_adjacency`]);
-//! * [`solve`] — the worklist fixed-point solver, parameterized over
-//!   [`Direction`], [`Confluence`] (∏/Σ) and per-point gen/kill sets;
-//!   must-systems are solved to greatest fixed points, may-systems to least;
+//! * [`solve`] — the one worklist fixed-point solver, parameterized over
+//!   [`Direction`], [`Confluence`] (∏/Σ) and per-point gen/kill sets and
+//!   run in a [`Schedule`]'s priority order; must-systems are solved to
+//!   greatest fixed points, may-systems to least. A [`Seed`] picks a cold
+//!   start or a warm restart from an earlier [`Solution`], and can hand
+//!   the solver recycled fact buffers;
 //! * [`classic`] — availability, anticipability, liveness and reaching
 //!   copies, used by the baseline transformations and as framework tests.
 //!
@@ -34,15 +37,10 @@
 mod adjacency;
 pub mod classic;
 mod masks;
-mod partition;
 mod points;
 mod solve;
 
 pub use adjacency::Adjacency;
 pub use masks::PatternMasks;
-pub use partition::{solve_partitioned, solve_partitioned_with, PartitionOptions};
 pub use points::{node_adjacency, PointGraph, PointId};
-pub use solve::{
-    solve, solve_scheduled, solve_scheduled_reusing, solve_seeded, solve_seeded_reusing,
-    Confluence, Direction, Problem, Schedule, Solution,
-};
+pub use solve::{solve, Confluence, Direction, Problem, Schedule, Seed, Solution};

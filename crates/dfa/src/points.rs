@@ -181,8 +181,7 @@ impl<'g> PointGraph<'g> {
     }
 
     /// The priority schedule of this point set, computed once at build
-    /// time; pass to [`solve_scheduled`](crate::solve_scheduled) to avoid
-    /// re-deriving traversal orders per solve.
+    /// time; pass it to every [`solve`](crate::solve) over this point set.
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }

@@ -155,16 +155,6 @@ impl Schedule {
             Direction::Backward => &self.backward,
         }
     }
-
-    /// `direction`'s traversal sequence: `seq[r]` is the point at rank `r`.
-    pub(crate) fn seq(&self, direction: Direction) -> &[u32] {
-        &self.order(direction).seq
-    }
-
-    /// `direction`'s rank array: `ranks[p]` is the rank of point `p`.
-    pub(crate) fn ranks(&self, direction: Direction) -> &[u32] {
-        &self.order(direction).rank
-    }
 }
 
 /// Reverse postorder over `adj`, with DFS roots chosen boundary-first:
@@ -218,12 +208,11 @@ pub struct Solution {
     pub iterations: u64,
     /// Number of worklist pushes, including the initial seeding. Since the
     /// solver runs until the worklist drains, this always equals
-    /// [`iterations`](Self::iterations) for a single solve; the parallel
-    /// solver reports the sum over its partitions.
+    /// [`iterations`](Self::iterations).
     pub worklist_pushes: u64,
     /// Peak worklist length observed. A cold solve seeds every point, so
-    /// this is at least the point count; a warm-started solve
-    /// ([`solve_seeded`]) seeds only the dirty points.
+    /// this is at least the point count; a warm start ([`Seed::warm`])
+    /// seeds only the dirty points.
     pub max_worklist_len: usize,
 }
 
@@ -239,76 +228,113 @@ impl Solution {
     }
 }
 
-/// Solves `problem` over the point set described by `succs`/`preds`.
+/// Where a [`solve`] starts, and which fact buffers it may reuse.
 ///
-/// Must-problems are initialized to ⊤ and shrink to the greatest fixed
-/// point; may-problems start at ⊥ and grow to the least. Builds a
-/// [`Schedule`] for the graph and delegates to [`solve_scheduled`]; when
-/// the same graph is solved repeatedly, build the schedule once and call
-/// [`solve_scheduled`] directly.
+/// * **Cold** ([`Seed::cold`]): every point is seeded and every fact starts
+///   at the problem's extremum — ⊤ for must-problems (shrinking to the
+///   greatest fixed point), ⊥ for may-problems (growing to the least).
+/// * **Warm** ([`Seed::warm`]): continues a previous solve after a
+///   localized change to the problem. `from` is the previous [`Solution`]
+///   of a problem over the same graph and `dirty` lists every point whose
+///   gen/kill row changed since then. Iteration restarts from the old
+///   facts with only the dirty points seeded, and converges to the fixed
+///   point a cold solve of the new problem reaches, **provided the change
+///   moved the transfer functions in the problem's safe direction**:
+///   - *Must* (greatest fixed point): rows may only *lower* — gen bits
+///     removed and/or kill bits added — so the old facts stay ≥ the new
+///     fixed point and descending iteration lands exactly on it.
+///   - *May* (least fixed point): dually, rows may only *raise* — gen bits
+///     added and/or kill bits removed.
+///
+///   Changes in the unsafe direction (e.g. a must-problem whose kill bits
+///   disappeared) can converge to a stale inner fixed point; callers must
+///   solve cold in that case. The returned metrics count only the
+///   incremental work: `worklist_pushes` starts at `dirty.len()`.
+///
+/// Either kind can recycle the fact buffers of a detached [`Solution`]
+/// ([`Seed::reusing`]) instead of allocating fresh ones. Recycled rows are
+/// fully overwritten, so the result is identical — only the allocations are
+/// reused. This matters to callers that solve once per round over 10⁴–10⁵
+/// points: without recycling, each round allocates and frees two full fact
+/// tables.
+pub struct Seed<'a> {
+    warm: Option<(&'a Solution, &'a [usize])>,
+    recycled: Option<Solution>,
+}
+
+impl<'a> Seed<'a> {
+    /// A cold solve from the problem's extremum, seeding every point.
+    pub fn cold() -> Self {
+        Seed {
+            warm: None,
+            recycled: None,
+        }
+    }
+
+    /// A warm restart from `from`, seeding only the `dirty` points.
+    pub fn warm(from: &'a Solution, dirty: &'a [usize]) -> Self {
+        Seed {
+            warm: Some((from, dirty)),
+            recycled: None,
+        }
+    }
+
+    /// Recycles the fact buffers of `recycled`, if any. Rows of the wrong
+    /// width (the universe changed) or count (the point set changed) are
+    /// rebuilt as needed.
+    pub fn reusing(self, recycled: Option<Solution>) -> Self {
+        Seed { recycled, ..self }
+    }
+}
+
+/// Solves `problem` over the point set described by `succs`/`preds`,
+/// processing points in `schedule`'s priority order and starting as
+/// `seed` says.
 ///
 /// # Panics
 ///
-/// Panics if the adjacency, gen and kill vectors disagree on the number of
-/// points.
-pub fn solve(succs: &Adjacency, preds: &Adjacency, problem: &Problem) -> Solution {
-    check_lengths(succs, preds, problem);
-    let schedule = Schedule::build(succs, preds);
-    solve_scheduled(succs, preds, problem, &schedule)
-}
-
-fn check_lengths(succs: &Adjacency, preds: &Adjacency, problem: &Problem) {
+/// Panics if the adjacency, gen and kill vectors, the schedule or a warm
+/// start's solution disagree on the number of points.
+pub fn solve(
+    succs: &Adjacency,
+    preds: &Adjacency,
+    schedule: &Schedule,
+    problem: &Problem,
+    seed: Seed<'_>,
+) -> Solution {
     let n = succs.len();
     assert_eq!(preds.len(), n, "preds/succs length mismatch");
     assert_eq!(problem.gen.len(), n, "gen length mismatch");
     assert_eq!(problem.kill.len(), n, "kill length mismatch");
-}
-
-/// Solves `problem` using a precomputed [`Schedule`], seeding every point.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`solve`], and if the schedule
-/// covers a different number of points.
-pub fn solve_scheduled(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-) -> Solution {
-    solve_scheduled_reusing(succs, preds, problem, schedule, None)
-}
-
-/// As [`solve_scheduled`], recycling the fact buffers of a [`Solution`]
-/// from an earlier solve instead of allocating fresh ones.
-///
-/// Every fact row is reinitialized to the problem's start value, so the
-/// result is identical to [`solve_scheduled`]'s — only the allocations are
-/// reused. Rows of the wrong width (the universe changed) or count (the
-/// point set changed) are rebuilt as needed. This matters to callers that
-/// solve once per round over 10⁴–10⁵ points: without recycling, each round
-/// allocates and frees two full fact tables.
-pub fn solve_scheduled_reusing(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-    recycled: Option<Solution>,
-) -> Solution {
-    check_lengths(succs, preds, problem);
-    let n = succs.len();
-    let top = match problem.confluence {
-        Confluence::Must => BitSet::full(problem.universe),
-        Confluence::May => BitSet::new(problem.universe),
-    };
-    let (mut input, mut output) = match recycled {
+    let (mut input, mut output) = match seed.recycled {
         Some(sol) => (sol.before, sol.after),
         None => (Vec::new(), Vec::new()),
     };
-    reset_rows(&mut input, n, &top);
-    reset_rows(&mut output, n, &top);
-    let seed: Vec<usize> = (0..n).collect();
-    run(succs, preds, problem, schedule, input, output, &seed)
+    match seed.warm {
+        None => {
+            let top = match problem.confluence {
+                Confluence::Must => BitSet::full(problem.universe),
+                Confluence::May => BitSet::new(problem.universe),
+            };
+            reset_rows(&mut input, n, &top);
+            reset_rows(&mut output, n, &top);
+            let every_point: Vec<usize> = (0..n).collect();
+            run(succs, preds, problem, schedule, input, output, &every_point)
+        }
+        Some((warm, dirty)) => {
+            assert_eq!(warm.before.len(), n, "warm solution length mismatch");
+            // Undo the direction normalization: `input` is the merged
+            // incoming fact (entry for forward, exit for backward),
+            // `output` the transferred one.
+            let (src_in, src_out) = match problem.direction {
+                Direction::Forward => (&warm.before, &warm.after),
+                Direction::Backward => (&warm.after, &warm.before),
+            };
+            copy_rows(&mut input, src_in);
+            copy_rows(&mut output, src_out);
+            run(succs, preds, problem, schedule, input, output, dirty)
+        }
+    }
 }
 
 /// Reinitializes `rows` to `n` copies of `value`, reusing allocations
@@ -324,75 +350,6 @@ fn reset_rows(rows: &mut Vec<BitSet>, n: usize, value: &BitSet) {
     while rows.len() < n {
         rows.push(value.clone());
     }
-}
-
-/// Continues a previous solve after a localized change to the problem.
-///
-/// `warm` is the previous [`Solution`] of a problem over the same graph;
-/// `dirty` lists every point whose gen/kill row changed since then. The
-/// solver restarts chaotic iteration from the warm facts with only the
-/// dirty points seeded, and converges to the same fixed point a cold
-/// [`solve`] of the new problem would, **provided the change moved the
-/// transfer functions in the problem's safe direction**:
-///
-/// * **Must** (greatest fixed point): the warm facts must be ≥ the new
-///   fixed point, which holds when rows only *lowered* — gen bits removed
-///   and/or kill bits added. Any fixed point above the greatest one does
-///   not exist, so descending iteration from above lands exactly on it.
-/// * **May** (least fixed point): dually, rows may only *raise* — gen bits
-///   added and/or kill bits removed — keeping the warm facts ≤ the new
-///   fixed point.
-///
-/// Changes in the unsafe direction (e.g. a must-problem whose kill bits
-/// disappeared) can converge to a stale inner fixed point; callers must
-/// fall back to a cold solve in that case. The returned metrics count only
-/// the incremental work: `worklist_pushes` starts at `dirty.len()`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`solve_scheduled`], and if `warm`
-/// covers a different number of points.
-pub fn solve_seeded(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-    warm: &Solution,
-    dirty: &[usize],
-) -> Solution {
-    solve_seeded_reusing(succs, preds, problem, schedule, warm, dirty, None)
-}
-
-/// As [`solve_seeded`], recycling the fact buffers of a detached
-/// [`Solution`] (see [`solve_scheduled_reusing`]) for the working copy of
-/// the warm facts.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_seeded_reusing(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-    warm: &Solution,
-    dirty: &[usize],
-    recycled: Option<Solution>,
-) -> Solution {
-    check_lengths(succs, preds, problem);
-    let n = succs.len();
-    assert_eq!(warm.before.len(), n, "warm solution length mismatch");
-    // Undo the direction normalization: `input` is the merged incoming
-    // fact (entry for forward, exit for backward), `output` the
-    // transferred one.
-    let (src_in, src_out) = match problem.direction {
-        Direction::Forward => (&warm.before, &warm.after),
-        Direction::Backward => (&warm.after, &warm.before),
-    };
-    let (mut input, mut output) = match recycled {
-        Some(sol) => (sol.before, sol.after),
-        None => (Vec::new(), Vec::new()),
-    };
-    copy_rows(&mut input, src_in);
-    copy_rows(&mut output, src_out);
-    run(succs, preds, problem, schedule, input, output, dirty)
 }
 
 /// Makes `rows` a row-for-row copy of `src`, reusing allocations where the
@@ -562,6 +519,17 @@ fn run(
 mod tests {
     use super::*;
 
+    /// A cold solve under a freshly built schedule.
+    fn solve_cold(succs: &Adjacency, preds: &Adjacency, p: &Problem) -> Solution {
+        solve(
+            succs,
+            preds,
+            &Schedule::build(succs, preds),
+            p,
+            Seed::cold(),
+        )
+    }
+
     /// A 4-point diamond: 0 -> {1,2} -> 3.
     fn diamond() -> (Adjacency, Adjacency) {
         let succs = Adjacency::from_lists(&[vec![1, 2], vec![3], vec![3], vec![]]);
@@ -577,7 +545,7 @@ mod tests {
         p.gen[1].insert(0);
         p.gen[1].insert(1);
         p.gen[2].insert(0);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         assert!(sol.before_bit(3, 0));
         assert!(!sol.before_bit(3, 1));
         assert!(!sol.before_bit(1, 0), "boundary is false");
@@ -588,7 +556,7 @@ mod tests {
         let (succs, preds) = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::May, 4, 2);
         p.gen[1].insert(1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         assert!(sol.before_bit(3, 1));
         assert!(!sol.before_bit(2, 1));
     }
@@ -600,7 +568,7 @@ mod tests {
         // Fact generated at exit point 3, killed in branch 1.
         p.gen[3].insert(0);
         p.kill[1].insert(0);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         assert!(sol.before_bit(3, 0));
         // After point 1 the fact holds (incoming from 3), before it doesn't.
         assert!(sol.after_bit(1, 0));
@@ -619,7 +587,7 @@ mod tests {
         let preds = Adjacency::from_lists(&[vec![], vec![0, 2], vec![1], vec![1]]);
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 1);
         p.gen[0].insert(0);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         // Generated at 0, never killed: holds everywhere downstream, even
         // around the cycle (greatest fixed point keeps it).
         assert!(sol.before_bit(1, 0));
@@ -634,7 +602,7 @@ mod tests {
         let succs = Adjacency::from_lists(&[vec![1], vec![2, 3], vec![1], vec![]]);
         let preds = Adjacency::from_lists(&[vec![], vec![0, 2], vec![1], vec![1]]);
         let p = Problem::new(Direction::Backward, Confluence::May, 4, 1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         for i in 0..4 {
             assert!(!sol.before_bit(i, 0));
             assert!(!sol.after_bit(i, 0));
@@ -645,7 +613,7 @@ mod tests {
     fn iteration_count_is_reported() {
         let (succs, preds) = diamond();
         let p = Problem::new(Direction::Forward, Confluence::Must, 4, 1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         assert!(sol.iterations >= 4);
     }
 
@@ -655,7 +623,7 @@ mod tests {
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 2);
         p.gen[0].insert(0);
         p.gen[1].insert(1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         // Every pop was pushed and the solver runs until the list drains,
         // so pushes and iterations agree exactly.
         assert_eq!(sol.worklist_pushes, sol.iterations);
@@ -677,7 +645,7 @@ mod tests {
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 2);
         p.gen[0].insert(0);
         p.gen[1].insert(1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         assert_eq!(sol.iterations, 4, "one update per point in RPO");
         assert_eq!(sol.worklist_pushes, 4, "no re-pushes on an acyclic graph");
 
@@ -685,7 +653,7 @@ mod tests {
         // side first.
         let mut p = Problem::new(Direction::Backward, Confluence::Must, 4, 2);
         p.gen[3].insert(0);
-        let sol = solve(&succs, &preds, &p);
+        let sol = solve_cold(&succs, &preds, &p);
         assert_eq!(sol.iterations, 4);
     }
 
@@ -709,15 +677,21 @@ mod tests {
         p.gen[0].insert(0);
         p.gen[1].insert(1);
         let schedule = Schedule::build(&succs, &preds);
-        let cold = solve(&succs, &preds, &p);
+        let cold = solve_cold(&succs, &preds, &p);
         // Re-seeding everything over an unchanged problem: one sweep, no
         // changes, identical facts.
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &cold, &[0, 1, 2, 3]);
+        let warm = solve(
+            &succs,
+            &preds,
+            &schedule,
+            &p,
+            Seed::warm(&cold, &[0, 1, 2, 3]),
+        );
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
         assert_eq!(warm.iterations, 4);
         // An empty dirty set does no work at all.
-        let idle = solve_seeded(&succs, &preds, &p, &schedule, &cold, &[]);
+        let idle = solve(&succs, &preds, &schedule, &p, Seed::warm(&cold, &[]));
         assert_eq!(idle.before, cold.before);
         assert_eq!(idle.iterations, 0);
         assert_eq!(idle.worklist_pushes, 0);
@@ -736,11 +710,11 @@ mod tests {
         p.gen[0].insert(0);
         p.gen[0].insert(1);
         p.gen[1].insert(2);
-        let old = solve(&succs, &preds, &p);
+        let old = solve_cold(&succs, &preds, &p);
         p.gen[1].remove(2);
         p.kill[1].insert(0);
-        let cold = solve(&succs, &preds, &p);
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &old, &[1]);
+        let cold = solve_cold(&succs, &preds, &p);
+        let warm = solve(&succs, &preds, &schedule, &p, Seed::warm(&old, &[1]));
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
         assert!(warm.iterations <= cold.iterations);
@@ -753,13 +727,38 @@ mod tests {
         let schedule = Schedule::build(&succs, &preds);
         let mut p = Problem::new(Direction::Backward, Confluence::May, 4, 2);
         p.gen[3].insert(0);
-        let old = solve(&succs, &preds, &p);
+        let old = solve_cold(&succs, &preds, &p);
         // Raise point 2's row: new gen bit, kill bit dropped.
         p.gen[2].insert(1);
-        let cold = solve(&succs, &preds, &p);
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &old, &[2]);
+        let cold = solve_cold(&succs, &preds, &p);
+        let warm = solve(&succs, &preds, &schedule, &p, Seed::warm(&old, &[2]));
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
+    }
+
+    #[test]
+    fn recycled_buffers_leave_the_facts_unchanged() {
+        let (succs, preds) = diamond();
+        let schedule = Schedule::build(&succs, &preds);
+        let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 2);
+        p.gen[1].insert(1);
+        let fresh = solve(&succs, &preds, &schedule, &p, Seed::cold());
+        // Buffers of another width are rebuilt, buffers of this width are
+        // overwritten: cold and warm results match the unrecycled ones.
+        let wide = Problem::new(Direction::Backward, Confluence::May, 4, 70);
+        let spare = solve_cold(&succs, &preds, &wide);
+        let cold = solve(
+            &succs,
+            &preds,
+            &schedule,
+            &p,
+            Seed::cold().reusing(Some(spare)),
+        );
+        assert_eq!((&cold.before, &cold.after), (&fresh.before, &fresh.after));
+        let every_point = [0, 1, 2, 3];
+        let warm = Seed::warm(&fresh, &every_point).reusing(Some(cold));
+        let warm = solve(&succs, &preds, &schedule, &p, warm);
+        assert_eq!((&warm.before, &warm.after), (&fresh.before, &fresh.after));
     }
 
     #[test]
@@ -768,6 +767,6 @@ mod tests {
         let (succs, preds) = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 3, 1);
         p.boundary = BitSet::new(1);
-        solve(&succs, &preds, &p);
+        solve_cold(&succs, &preds, &p);
     }
 }

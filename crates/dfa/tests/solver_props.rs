@@ -4,7 +4,7 @@
 //! * it is extremal (greatest for must, least for may), checked against a
 //!   naive round-robin reference solver;
 //! * per-point facts are consistent with path semantics on acyclic graphs;
-//! * the scheduled and seeded (incremental) solvers are bit-identical to
+//! * cold and warm-seeded (incremental) solves are bit-identical to
 //!   the naive reference on all of the classic analyses, over the shared
 //!   80-program corpus plus 200 extra seeded random programs.
 //!
@@ -17,8 +17,7 @@ use am_dfa::classic::{
     partially_available_expressions_problem, reaching_copies_problem,
 };
 use am_dfa::{
-    solve, solve_partitioned_with, solve_scheduled, solve_seeded, Adjacency, Confluence, Direction,
-    PartitionOptions, PointGraph, Problem,
+    solve, Adjacency, Confluence, Direction, PointGraph, Problem, Schedule, Seed, Solution,
 };
 use am_ir::random::{corpus80, structured, unstructured, StructuredConfig, UnstructuredConfig};
 use am_ir::rng::SplitMix64;
@@ -80,6 +79,12 @@ fn pairs(rng: &mut SplitMix64, max_len: usize, a: usize, b: usize) -> Vec<(usize
     (0..n)
         .map(|_| (rng.gen_range(0..a), rng.gen_range(0..b)))
         .collect()
+}
+
+/// A cold solve of `p` over `flow`.
+fn solve_cold(flow: &RandomFlow, p: &Problem) -> Solution {
+    let schedule = Schedule::build(&flow.succs, &flow.preds);
+    solve(&flow.succs, &flow.preds, &schedule, p, Seed::cold())
 }
 
 /// Naive reference: iterate all points round-robin until nothing changes.
@@ -157,7 +162,7 @@ fn worklist_matches_round_robin_reference() {
         let p = random_problem(
             &flow, universe, direction, confluence, &gen_bits, &kill_bits,
         );
-        let sol = solve(&flow.succs, &flow.preds, &p);
+        let sol = solve_cold(&flow, &p);
         let (ref_before, ref_after) = reference_solve(&flow, &p);
         for point in 0..n {
             assert_eq!(
@@ -195,7 +200,7 @@ fn solution_is_a_fixed_point() {
             &gen_bits,
             &kill_bits,
         );
-        let sol = solve(&flow.succs, &flow.preds, &p);
+        let sol = solve_cold(&flow, &p);
         for point in 0..n {
             // before = merge over preds (or boundary).
             let expected_before = if flow.preds[point].is_empty() {
@@ -258,7 +263,7 @@ fn acyclic_forward_may_equals_reachability() {
             &gen_bits,
             &[],
         );
-        let sol = solve(&flow.succs, &flow.preds, &p);
+        let sol = solve_cold(&flow, &p);
         // Reachability closure per bit.
         for bit in 0..universe {
             let mut holds_after = vec![false; n];
@@ -298,9 +303,8 @@ fn classic_problems(
 
 /// Scheduling and warm seeding are pure performance devices: the fixed
 /// point of a gen/kill system is unique per extremum, so every strategy
-/// must land on identical facts. Checks the scheduled solver and a
-/// full-seed warm restart of `solve_seeded` against the naive reference on
-/// every classic analysis over `g`.
+/// must land on identical facts. Checks a cold solve and a full-seed warm
+/// restart against the naive reference on every classic analysis over `g`.
 fn check_classic_equivalence(name: &str, g: &FlowGraph) {
     let pg = PointGraph::build(g);
     let universe = PatternUniverse::collect(g);
@@ -311,25 +315,25 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
     let every_point: Vec<usize> = (0..pg.len()).collect();
     for (analysis, problem) in classic_problems(&pg, &universe) {
         let (ref_before, ref_after) = reference_solve(&flow, &problem);
-        let scheduled = solve_scheduled(pg.succs(), pg.preds(), &problem, pg.schedule());
-        assert_eq!(
-            scheduled.before, ref_before,
-            "{name}/{analysis}: scheduled before-facts diverge from naive"
+        let cold = solve(
+            pg.succs(),
+            pg.preds(),
+            pg.schedule(),
+            &problem,
+            Seed::cold(),
         );
         assert_eq!(
-            scheduled.after, ref_after,
-            "{name}/{analysis}: scheduled after-facts diverge from naive"
+            cold.before, ref_before,
+            "{name}/{analysis}: cold before-facts diverge from naive"
+        );
+        assert_eq!(
+            cold.after, ref_after,
+            "{name}/{analysis}: cold after-facts diverge from naive"
         );
         // Warm restart from the converged facts with every point dirty:
         // one no-op sweep over a solved system, identical fixed point.
-        let warm = solve_seeded(
-            pg.succs(),
-            pg.preds(),
-            &problem,
-            pg.schedule(),
-            &scheduled,
-            &every_point,
-        );
+        let warm = Seed::warm(&cold, &every_point);
+        let warm = solve(pg.succs(), pg.preds(), pg.schedule(), &problem, warm);
         assert_eq!(
             warm.before, ref_before,
             "{name}/{analysis}: seeded before-facts diverge from naive"
@@ -338,27 +342,6 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
             warm.after, ref_after,
             "{name}/{analysis}: seeded after-facts diverge from naive"
         );
-        // The point-partitioned parallel solver must land on bit-identical
-        // facts for every worker count. Thresholds are forced low so the
-        // partitioned path actually engages on these small graphs instead
-        // of taking its serial fallback.
-        for workers in [1usize, 2, 4, 8] {
-            let opts = PartitionOptions {
-                workers,
-                target_points: 4,
-                min_points: 0,
-            };
-            let part =
-                solve_partitioned_with(pg.succs(), pg.preds(), &problem, pg.schedule(), &opts);
-            assert_eq!(
-                part.before, ref_before,
-                "{name}/{analysis}: partitioned before-facts diverge (workers={workers})"
-            );
-            assert_eq!(
-                part.after, ref_after,
-                "{name}/{analysis}: partitioned after-facts diverge (workers={workers})"
-            );
-        }
     }
 }
 
@@ -465,7 +448,7 @@ fn worklist_iteration_count_is_bounded() {
         let p = random_problem(
             &flow, universe, direction, confluence, &gen_bits, &kill_bits,
         );
-        let sol = solve(&flow.succs, &flow.preds, &p);
+        let sol = solve_cold(&flow, &p);
         let max_degree = (0..n)
             .map(|p| flow.succs.degree(p).max(flow.preds.degree(p)))
             .max()

@@ -2,7 +2,7 @@
 //! (`L001`–`L007`) and the def-before-use / naming discipline the motion
 //! phases must maintain for temporaries (`L010`, `L011`).
 
-use am_dfa::{solve, Confluence, Direction, PointGraph, Problem};
+use am_dfa::{solve, Confluence, Direction, PointGraph, Problem, Seed};
 use am_ir::{GraphError, Instr, Var};
 
 use crate::diag::{Diagnostic, Severity};
@@ -104,7 +104,7 @@ pub(crate) fn check_defuse(ctx: &Ctx<'_>, pg: &PointGraph<'_>, out: &mut Vec<Dia
             p.gen[point.index()].insert(d.index());
         }
     }
-    let definite = solve(pg.succs(), pg.preds(), &p);
+    let definite = solve(pg.succs(), pg.preds(), pg.schedule(), &p, Seed::cold());
 
     for point in pg.points() {
         let Some(instr) = pg.instr(point) else {

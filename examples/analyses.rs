@@ -8,8 +8,7 @@
 //! ```
 
 use assignment_motion::alg::{flush, hoist, init, motion, rae};
-use assignment_motion::dfa::PointGraph;
-use assignment_motion::ir::{patterns::PatternUniverse, text::parse, FlowGraph};
+use assignment_motion::ir::{text::parse, FlowGraph};
 
 const RUNNING_EXAMPLE: &str = "
     start 1
@@ -57,24 +56,15 @@ fn show_hoisting(g: &FlowGraph, title: &str) {
 
 fn show_redundancy(g: &FlowGraph, title: &str) {
     println!("== Table 2 (redundancy) — {title} ==");
-    let universe = PatternUniverse::collect(g);
-    let pg = PointGraph::build(g);
-    let sol = rae::redundancy(&pg, &universe);
-    for p in pg.points() {
-        let Some(instr) = pg.instr(p) else { continue };
-        let redundant: Vec<String> = universe
-            .assign_patterns()
-            .filter(|(i, _)| sol.before[p.index()].contains(*i))
-            .map(|(_, pat)| pat.display(g.pool()))
-            .collect();
-        if !redundant.is_empty() {
-            println!(
-                "before '{}' in node {}: redundant {{{}}}",
-                instr.display(g.pool()),
-                g.label(pg.node(p)),
-                redundant.join(", ")
-            );
-        }
+    // Solved over the block graph: an occurrence is redundant when its own
+    // pattern holds in N-REDUNDANT* at its entry.
+    let (locs, _) = rae::redundant_locs(g);
+    for loc in locs {
+        println!(
+            "redundant '{}' in node {}",
+            g.block(loc.node).instrs[loc.index].display(g.pool()),
+            g.label(loc.node)
+        );
     }
     println!();
 }
@@ -109,7 +99,7 @@ fn show_flush(g: &mut FlowGraph) {
     println!("== Table 3 (delayability / usability) — G_AssMot ==");
     // Solved over the block graph; the per-instruction facts are recovered
     // one block at a time.
-    let facts = flush::FlushFacts::solve(g, 1);
+    let facts = flush::FlushFacts::solve(g);
     let mut block = flush::BlockFacts::new(facts.universe().expr_count());
     println!(
         "{:<24} {:<10} {:>8} {:>8} {:>8} {:>8}",

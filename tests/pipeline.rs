@@ -153,7 +153,7 @@ fn deterministic_interpretation_matches_oracle_mode() {
 #[test]
 fn dataflow_framework_is_reusable_downstream() {
     // A downstream user building their own analysis with the framework.
-    use assignment_motion::dfa::{solve, Confluence, Direction, PointGraph, Problem};
+    use assignment_motion::dfa::{solve, Confluence, Direction, PointGraph, Problem, Seed};
     let g = parse(RUNNING_EXAMPLE).unwrap();
     let pg = PointGraph::build(&g);
     // "Reaches a write statement": backward may.
@@ -163,7 +163,7 @@ fn dataflow_framework_is_reusable_downstream() {
             p.gen[point.index()].insert(0);
         }
     }
-    let sol = solve(pg.succs(), pg.preds(), &p);
+    let sol = solve(pg.succs(), pg.preds(), pg.schedule(), &p, Seed::cold());
     // Every point of this program reaches the out() in node 4.
     for point in pg.points() {
         assert!(sol.before[point.index()].contains(0));
